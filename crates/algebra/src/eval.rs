@@ -20,16 +20,11 @@ use crate::order::{tuple_cmp_all, value_cmp, OrderSpec};
 use crate::plan::{
     Axis, CmpOp, FetchWhat, JoinKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep,
 };
-use crate::simd::IdColumns;
-use crate::skip::{SkipIndex, DEFAULT_BLOCK};
+use crate::simd::{IdColumns, DEFAULT_BLOCK};
 use crate::stacktree::{
     nested_loop_pairs, stack_tree_pairs_columnar, stack_tree_pairs_columnar_metered,
-    stack_tree_pairs_indexed, stack_tree_pairs_indexed_metered,
 };
-use crate::twig::{
-    twig_join_columnar, twig_join_columnar_metered, twig_join_indexed, twig_join_indexed_metered,
-    twig_to_cascade, TwigPattern,
-};
+use crate::twig::{twig_join_columnar, twig_join_columnar_metered, twig_to_cascade, TwigPattern};
 use crate::value::{Collection, Field, FieldKind, Schema, Tuple, Value};
 
 /// A materialized nested relation: schema + tuples (list semantics).
@@ -119,17 +114,15 @@ pub struct EvalConfig {
     /// merge (`false` = desugar to the binary cascade, for the ablation
     /// bench and as the correctness oracle).
     pub use_twigstack: bool,
-    /// Build [`SkipIndex`]es over join input streams so the StackTree
-    /// merge and the twig kernel seek over prunable regions instead of
-    /// scanning them (`false` = linear advance, for the ablation bench).
+    /// Let the join kernels seek: where no open ancestor can contain
+    /// the next elements, gallop over the sorted pre column
+    /// ([`IdColumns::seek_pre_gt`]) instead of stepping one element at
+    /// a time (`false` = linear advance, for the ablation bench).
     pub use_skip_index: bool,
-    /// Pack join input streams into [`IdColumns`] and run the
-    /// vectorized kernels (`twig_join_columnar`,
-    /// `stack_tree_pairs_columnar`): batched containment windows and
-    /// galloping seeks over the sorted pre column. Off = the scalar
-    /// element-at-a-time kernels (ablation baseline). Columnar streams
-    /// are seekable by construction, so this subsumes skipping even
-    /// when `use_skip_index` is off.
+    /// Let the join kernels retire runs in bulk: append leaf runs (twig)
+    /// or emit single-ancestor runs (StackTree) counted a block at a time
+    /// by [`IdColumns::leading_run`] (`false` = one element per step,
+    /// for the ablation bench).
     pub columnar_kernels: bool,
 }
 
@@ -151,6 +144,9 @@ pub enum EvalError {
     UnknownAttribute(String),
     TypeError(String),
     NeedsDocument(&'static str),
+    /// A join input holds more tuples than the packed `u32` payload
+    /// column of the join kernels can address.
+    TooManyTuples(usize),
 }
 
 impl fmt::Display for EvalError {
@@ -165,6 +161,11 @@ impl fmt::Display for EvalError {
                     "operator {op} requires a source document in the evaluator"
                 )
             }
+            EvalError::TooManyTuples(n) => write!(
+                f,
+                "join input of {n} tuples exceeds the join kernels' limit of {} tuples",
+                u32::MAX
+            ),
         }
     }
 }
@@ -613,32 +614,21 @@ impl<'a> Evaluator<'a> {
             if !is_sorted_by_pre(&rids) {
                 rids.sort_by_key(|(s, _)| s.pre);
             }
-            if self.config.columnar_kernels
-                && lids.len() < u32::MAX as usize
-                && rids.len() < u32::MAX as usize
-            {
-                // pack to structure-of-arrays and run the vectorized
-                // merge; packing is one linear pass, like an index build
-                let lc = IdColumns::from_pairs(&lids, DEFAULT_BLOCK);
-                let rc = IdColumns::from_pairs(&rids, DEFAULT_BLOCK);
-                match &self.metrics {
-                    Some(m) => {
-                        stack_tree_pairs_columnar_metered(&lc, &rc, axis, &mut *m.borrow_mut())
-                    }
-                    None => stack_tree_pairs_columnar(&lc, &rc, axis),
-                }
-            } else {
-                let ix = self.config.use_skip_index.then(|| SkipIndex::build(&rids));
-                match &self.metrics {
-                    Some(m) => stack_tree_pairs_indexed_metered(
-                        &lids,
-                        &rids,
-                        axis,
-                        ix.as_ref(),
-                        &mut *m.borrow_mut(),
-                    ),
-                    None => stack_tree_pairs_indexed(&lids, &rids, axis, ix.as_ref()),
-                }
+            // pack to structure-of-arrays and run the merge; packing is
+            // one linear pass, like an index build
+            packable(l.len())?;
+            packable(r.len())?;
+            let lc = IdColumns::from_pairs(&lids, DEFAULT_BLOCK);
+            let rc = IdColumns::from_pairs(&rids, DEFAULT_BLOCK);
+            match &self.metrics {
+                Some(m) => stack_tree_pairs_columnar_metered(
+                    &lc,
+                    &rc,
+                    axis,
+                    self.config,
+                    &mut *m.borrow_mut(),
+                ),
+                None => stack_tree_pairs_columnar(&lc, &rc, axis, self.config),
             }
         } else {
             if let Some(m) = &self.metrics {
@@ -724,7 +714,7 @@ impl<'a> Evaluator<'a> {
     // holistic twig join
 
     /// Evaluate a whole tree pattern with the holistic twig merge
-    /// ([`crate::twig::twig_join`]): one sorted ID stream per pattern
+    /// ([`crate::twig::twig_join_columnar`]): one sorted ID stream per pattern
     /// node, no intermediate pair lists. Shapes the holistic operator
     /// does not cover — map-extended (dotted) attributes, or two steps
     /// hanging off *different* ID columns of the same input — fall back
@@ -755,8 +745,8 @@ impl<'a> Evaluator<'a> {
                 return self.eval(&twig_to_cascade(root, steps));
             }
         };
-        let solutions = twig_solutions(&rels, &shape, steps, self.config, self.metrics.as_ref());
-        // one output tuple per solution; twig_join already emits them in
+        let solutions = twig_solutions(&rels, &shape, steps, self.config, self.metrics.as_ref())?;
+        // one output tuple per solution; the kernel already emits them in
         // the cascade's lexicographic order
         let mut tuples = Vec::with_capacity(solutions.len());
         for sol in &solutions {
@@ -1396,7 +1386,7 @@ pub(crate) fn twig_solutions(
     steps: &[TwigStep],
     config: EvalConfig,
     metrics: Option<&RefCell<ExecMetrics>>,
-) -> Vec<Vec<usize>> {
+) -> Result<Vec<Vec<usize>>, EvalError> {
     let mut pattern = TwigPattern::root();
     for (k, s) in steps.iter().enumerate() {
         let id = pattern.add_child(shape.parents[k], s.axis);
@@ -1404,6 +1394,7 @@ pub(crate) fn twig_solutions(
     }
     let mut streams: Vec<Vec<(StructuralId, usize)>> = Vec::with_capacity(rels.len());
     for (j, r) in rels.iter().enumerate() {
+        packable(r.len())?;
         let col = shape.node_attr[j];
         let mut ids: Vec<(StructuralId, usize)> = r
             .tuples
@@ -1416,36 +1407,26 @@ pub(crate) fn twig_solutions(
         }
         streams.push(ids);
     }
-    if config.columnar_kernels && streams.iter().all(|s| s.len() < u32::MAX as usize) {
-        // pack each stream to structure-of-arrays — one linear pass per
-        // stream, like the index builds — and run the vectorized merge
-        let cols: Vec<IdColumns> = streams
-            .iter()
-            .map(|s| IdColumns::from_pairs(s, DEFAULT_BLOCK))
-            .collect();
-        let refs: Vec<&IdColumns> = cols.iter().collect();
-        return match metrics {
-            Some(m) => twig_join_columnar_metered(&pattern, &refs, &mut *m.borrow_mut()),
-            None => twig_join_columnar(&pattern, &refs),
-        };
+    // pack each stream to structure-of-arrays — one linear pass per
+    // stream, like an index build — and run the merge
+    let cols: Vec<IdColumns> = streams
+        .iter()
+        .map(|s| IdColumns::from_pairs(s, DEFAULT_BLOCK))
+        .collect();
+    let refs: Vec<&IdColumns> = cols.iter().collect();
+    Ok(match metrics {
+        Some(m) => twig_join_columnar_metered(&pattern, &refs, config, &mut *m.borrow_mut()),
+        None => twig_join_columnar(&pattern, &refs, config),
+    })
+}
+
+/// The join kernels pack tuple positions into a `u32` payload column:
+/// an input with more tuples than that is refused, not truncated.
+fn packable(tuples: usize) -> Result<(), EvalError> {
+    if tuples > u32::MAX as usize {
+        return Err(EvalError::TooManyTuples(tuples));
     }
-    let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
-    // index build is one O(n/block) pass per stream — negligible next to
-    // the merge, and it unlocks the kernel's seek-based pruning
-    let indexes: Vec<SkipIndex> = if config.use_skip_index {
-        streams.iter().map(|s| SkipIndex::build(s)).collect()
-    } else {
-        Vec::new()
-    };
-    let opts: Vec<Option<&SkipIndex>> = if config.use_skip_index {
-        indexes.iter().map(Some).collect()
-    } else {
-        vec![None; refs.len()]
-    };
-    match metrics {
-        Some(m) => twig_join_indexed_metered(&pattern, &refs, &opts, &mut *m.borrow_mut()),
-        None => twig_join_indexed(&pattern, &refs, &opts),
-    }
+    Ok(())
 }
 
 /// Dotted name of an index path (for re-entrant resolution in map joins).
@@ -2204,6 +2185,16 @@ mod tests {
             JoinKind::Inner,
         );
         assert_eq!(ev.eval(&twig).unwrap(), ev.eval(&direct).unwrap());
+    }
+
+    #[test]
+    fn oversized_join_inputs_are_refused() {
+        assert_eq!(packable(u32::MAX as usize), Ok(()));
+        let too_many = u32::MAX as usize + 1;
+        assert_eq!(packable(too_many), Err(EvalError::TooManyTuples(too_many)));
+        assert!(EvalError::TooManyTuples(too_many)
+            .to_string()
+            .contains("exceeds"));
     }
 
     #[test]

@@ -14,18 +14,18 @@
 //! from nested tuples.
 //!
 //! The physical layer implements the `StackTreeDesc` / `StackTreeAnc`
-//! structural-join algorithms over ID-sorted inputs, a holistic
-//! `TwigStack`-style twig join evaluating whole tree patterns in one
-//! multi-way merge, a naive nested-loop fallback kept for the ablation
-//! benches, and order descriptors tracking which attribute the output of
-//! each operator is sorted on.
+//! structural-join algorithm and a holistic `TwigStack`-style twig join
+//! (whole tree patterns in one multi-way merge), one kernel each over
+//! the packed [`IdColumns`] layout, a naive nested-loop fallback kept
+//! for the ablation benches and as the tests' oracle, and order
+//! descriptors tracking which attribute the output of each operator is
+//! sorted on.
 
 pub mod cursor;
 pub mod eval;
 pub mod order;
 pub mod plan;
 pub mod simd;
-pub mod skip;
 pub mod stacktree;
 pub mod twig;
 pub mod value;
@@ -42,17 +42,14 @@ pub use plan::{
     Axis, CmpOp, FetchWhat, JoinKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep,
 };
 pub use simd::{
-    count_leading_lt, count_leading_lt2, find_first_ge, find_first_gt, IdColumns, LANE,
+    count_leading_lt, count_leading_lt2, find_first_ge, find_first_gt, IdColumns, SidLike,
+    DEFAULT_BLOCK, LANE,
 };
-pub use skip::{Seek, SidLike, SkipIndex, DEFAULT_BLOCK};
 pub use stacktree::{
-    nested_loop_pairs, stack_tree_pairs, stack_tree_pairs_columnar,
-    stack_tree_pairs_columnar_metered, stack_tree_pairs_indexed, stack_tree_pairs_indexed_metered,
-    stack_tree_pairs_metered,
+    nested_loop_pairs, stack_tree_pairs_columnar, stack_tree_pairs_columnar_metered,
 };
 pub use twig::{
-    fuse_struct_joins, twig_join, twig_join_columnar, twig_join_columnar_metered,
-    twig_join_indexed, twig_join_indexed_metered, twig_join_metered, twig_to_cascade, TwigNode,
+    fuse_struct_joins, twig_join_columnar, twig_join_columnar_metered, twig_to_cascade, TwigNode,
     TwigPattern,
 };
 pub use value::{CollKind, Collection, Field, FieldKind, Schema, Tuple, Value};

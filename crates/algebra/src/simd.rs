@@ -1,13 +1,10 @@
-//! Columnar ID layout and branch-free range kernels — the vectorized
-//! access-module implementation behind `columnar_kernels`.
+//! Columnar ID layout and branch-free range kernels — the one physical
+//! representation the structural-join kernels run over.
 //!
-//! The scalar kernels walk `&[(StructuralId, usize)]` one 16-byte struct
-//! at a time; every advance is a dependent load plus an unpredictable
-//! branch. [`IdColumns`] stores the same stream as separate `pre` /
+//! [`IdColumns`] stores a pre-sorted ID stream as separate `pre` /
 //! `post` / `depth` columns (structure of arrays) with per-block
-//! `max_post` fences mirroring [`SkipIndex`](crate::skip::SkipIndex)
-//! level 0, and the kernels in this module answer the two questions the
-//! join loops actually ask in bulk:
+//! `max_post` fences, and the kernels in this module answer the two
+//! questions the join loops actually ask in bulk:
 //!
 //! * *where does the next interesting element start?* —
 //!   [`IdColumns::seek_pre_gt`] gallops over the sorted `pre` column,
@@ -25,15 +22,37 @@
 //! arch-specific intrinsic code here).
 //!
 //! Soundness under duplicates: streams are only *non-strictly*
-//! pre-sorted (multi-tuple join inputs repeat IDs — the PR 5 lesson),
-//! so every seek bound in this module is phrased as `pre > bound` /
-//! count-of-`pre <= bound`, never `bound + 1` arithmetic, and the
-//! fences bound whole blocks inclusively.
+//! pre-sorted (multi-tuple join inputs repeat IDs), so every seek bound
+//! in this module is phrased as `pre > bound` / count-of-`pre <= bound`,
+//! never `bound + 1` arithmetic, and the fences bound whole blocks
+//! inclusively.
 
 use obs::Meter;
 use xmltree::StructuralId;
 
-use crate::skip::{SidLike, DEFAULT_BLOCK};
+/// Items an [`IdColumns`] can be packed from: anything carrying a
+/// [`StructuralId`]. Lets one layout serve both the storage layer's
+/// plain ID columns and the kernels' `(id, payload)` streams.
+pub trait SidLike {
+    fn sid(&self) -> StructuralId;
+}
+
+impl SidLike for StructuralId {
+    #[inline]
+    fn sid(&self) -> StructuralId {
+        *self
+    }
+}
+
+impl SidLike for (StructuralId, usize) {
+    #[inline]
+    fn sid(&self) -> StructuralId {
+        self.0
+    }
+}
+
+/// The default fence block size (elements per `max_post` fence).
+pub const DEFAULT_BLOCK: usize = 64;
 
 /// Lanes per chunk of the free-function reduction loops. 64 `u32`s span
 /// 4–8 cache lines and give the compiler a full vector register's worth
@@ -130,9 +149,8 @@ pub fn count_leading_lt2(a: &[u32], b: &[u32], from: usize, a_bound: u32, b_boun
 
 /// A pre-sorted ID stream in structure-of-arrays layout: separate
 /// `pre`/`post`/`depth` columns plus an optional payload column, with a
-/// `max_post` fence per block of `block` elements (the `min_pre` fence
-/// of the skip index is implicit — `pre` is sorted, so a block's
-/// minimum is its first element).
+/// `max_post` fence per block of `block` elements (no `min_pre` fence is
+/// needed — `pre` is sorted, so a block's minimum is its first element).
 ///
 /// The payload column is elided for identity payloads (the storage
 /// layer's plain columns, where payload `i` is position `i`), so the
@@ -171,7 +189,8 @@ impl IdColumns {
     }
 
     /// Pack a `(id, payload)` kernel stream. Payloads are stored as
-    /// `u32`; streams with ≥ 2³² tuples must stay on the scalar path.
+    /// `u32`: callers must reject inputs whose payloads exceed
+    /// `u32::MAX` first (the evaluator returns an `EvalError`).
     pub fn from_pairs(stream: &[(StructuralId, usize)], block: usize) -> IdColumns {
         let mut c = IdColumns::packed(stream.iter().map(|e| e.0), block);
         c.payload = stream
@@ -258,16 +277,16 @@ impl IdColumns {
         }
     }
 
-    /// Materialize back to the scalar kernels' pair representation.
+    /// Materialize back to the `(id, payload)` pair representation.
     pub fn to_pairs(&self) -> Vec<(StructuralId, usize)> {
         (0..self.len())
             .map(|i| (self.sid(i), self.payload(i)))
             .collect()
     }
 
-    /// First position `>= from` with `pre > bound` (the columnar
-    /// [`seek_descendant_of`](crate::skip::SkipIndex::seek_descendant_of)):
-    /// one branch-free [`SEED_LANE`]-wide chunk scan for the common
+    /// First position `>= from` with `pre > bound` — the first element
+    /// that can still be a descendant of an anchor with pre rank
+    /// `bound`: one branch-free [`SEED_LANE`]-wide chunk scan for the common
     /// short advance, then an exponential gallop over the sorted column
     /// for long jumps — the selective-twig case stays `O(log distance)`,
     /// not `O(n / LANE)`.
@@ -325,8 +344,7 @@ impl IdColumns {
     }
 
     /// First position `>= from` past the anchor's whole subtree
-    /// (`pre > anchor.pre && post > anchor.post`) — the columnar
-    /// [`seek_past`](crate::skip::SkipIndex::seek_past). After the
+    /// (`pre > anchor.pre && post > anchor.post`). After the
     /// sorted-pre seek, blocks whose `max_post` fence stays at or below
     /// `anchor.post` are stepped over whole.
     pub fn seek_past<M: Meter>(&self, from: usize, anchor: StructuralId, meter: &mut M) -> usize {
@@ -525,6 +543,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn duplicate_straddling_block_boundary_not_pruned() {
+        // Join inputs may carry the same node ID in many tuples (e.g. a
+        // view column), so streams are only *non-strictly* pre-sorted.
+        // With block = 2 the middle block ends in the first copy of
+        // pre = 3 and the next block starts with the second copy, so for
+        // an anchor with pre = 2 a fence bound that treated the next
+        // block's first pre as exclusive would skip the first hit.
+        let ids = vec![
+            StructuralId::new(0, 10, 1),
+            StructuralId::new(1, 1, 2),
+            StructuralId::new(2, 4, 2),
+            StructuralId::new(3, 3, 3),
+            StructuralId::new(3, 3, 3), // duplicate straddles the boundary
+            StructuralId::new(9, 9, 2),
+        ];
+        let anchor = StructuralId::new(2, 4, 2);
+        let cols = IdColumns::from_sids_with_block(&ids, 2);
+        for from in 0..ids.len() {
+            let want_gt = (from..ids.len())
+                .find(|&i| ids[i].pre > anchor.pre)
+                .unwrap_or(ids.len());
+            assert_eq!(
+                cols.seek_pre_gt(from, anchor.pre, &mut NoMeter),
+                want_gt,
+                "overshot from={from}"
+            );
+            let want_past = (from..ids.len())
+                .find(|&i| ids[i].pre > anchor.pre && ids[i].post > anchor.post)
+                .unwrap_or(ids.len());
+            assert_eq!(cols.seek_past(from, anchor, &mut NoMeter), want_past);
+        }
+        assert_eq!(cols.seek_pre_gt(0, anchor.pre, &mut NoMeter), 3);
     }
 
     #[test]

@@ -1,25 +1,25 @@
 //! Physical structural-join algorithms (§1.2.3).
 //!
-//! [`stack_tree_pairs`] implements the stack-based merge of Al-Khalifa et
-//! al.'s `StackTree` family: given an ancestor-candidate sequence and a
-//! descendant-candidate sequence, both sorted by the pre rank of their ID
-//! attribute, it produces all `(ancestor_index, descendant_index)` match
-//! pairs in a single merge pass, maintaining a stack of ancestors whose
-//! pre/post interval is still open.
+//! [`stack_tree_pairs_columnar`] implements the stack-based merge of
+//! Al-Khalifa et al.'s `StackTree` family: given an ancestor-candidate
+//! sequence and a descendant-candidate sequence, both sorted by the pre
+//! rank of their ID attribute, it produces all `(ancestor_payload,
+//! descendant_payload)` match pairs in a single merge pass, maintaining a
+//! stack of ancestors whose pre/post interval is still open.
 //!
 //! `StackTreeDesc` corresponds to emitting the pairs sorted by descendant
 //! ID (which is how this function naturally emits them); `StackTreeAnc`
 //! output order is obtained by a stable re-sort on the ancestor index —
 //! the evaluator picks whichever order downstream operators need.
 //! [`nested_loop_pairs`] is the naive O(|L|·|R|) fallback kept for the
-//! physical-operator ablation bench.
+//! physical-operator ablation bench and as the tests' oracle.
 
 use obs::{Meter, NoMeter};
 use xmltree::StructuralId;
 
+use crate::eval::EvalConfig;
 use crate::plan::Axis;
 use crate::simd::IdColumns;
-use crate::skip::SkipIndex;
 
 /// Does `anc` match `desc` on the given axis?
 #[inline]
@@ -46,61 +46,51 @@ fn pop_closed(stack: &mut Vec<(StructuralId, usize)>, post: u32) {
     }
 }
 
-/// Compute all structural match pairs between `anc[i].0` and `desc[j].0`
-/// using the StackTree merge. Both slices **must** be sorted by `pre` rank
-/// of the carried [`StructuralId`]; the second component of each element is
-/// an opaque payload index returned in the pairs.
+/// Compute all structural match pairs between `anc` and `desc` with the
+/// StackTree merge over packed [`IdColumns`] streams. Both **must** be
+/// sorted by `pre` rank; the payloads are returned in the pairs.
 ///
 /// Output pairs are emitted in descendant order (StackTreeDesc order) —
 /// i.e. sorted by `desc` position, with the matching ancestors innermost
-/// (deepest) first for each descendant.
-pub fn stack_tree_pairs(
-    anc: &[(StructuralId, usize)],
-    desc: &[(StructuralId, usize)],
+/// (deepest) first for each descendant. Two flags of `config` pick the
+/// advance machinery; the pairs (and their order) are the same under
+/// every combination:
+///
+/// * **seeking** (`use_skip_index`) — an empty stack with the next
+///   ancestor ahead means a prunable descendant run;
+///   [`IdColumns::seek_pre_gt`] gallops past it, and the whole
+///   descendant tail is dropped once ancestors are exhausted. Off, the
+///   merge steps over it one element at a time.
+/// * **bulk emit** (`columnar_kernels`) — when exactly one ancestor is
+///   open and the next ancestor candidate starts later, every following
+///   descendant whose pre rank stays below that next candidate and whose
+///   post rank stays inside the open ancestor pairs with it and only it:
+///   no push, no pop, no per-element stack scan.
+///   [`IdColumns::leading_run`] counts the run a block at a time; the
+///   `/` axis adds a depth-column check per element but still no stack
+///   traffic.
+pub fn stack_tree_pairs_columnar(
+    anc: &IdColumns,
+    desc: &IdColumns,
     axis: Axis,
+    config: EvalConfig,
 ) -> Vec<(usize, usize)> {
-    stack_tree_pairs_metered(anc, desc, axis, &mut NoMeter)
+    stack_tree_pairs_columnar_metered(anc, desc, axis, config, &mut NoMeter)
 }
 
-/// [`stack_tree_pairs`] with execution counters: axis tests on the
-/// stack-scan loop count as comparisons, and the open-ancestor stack's
-/// high-water mark is recorded. With [`NoMeter`] this monomorphizes to
-/// the unmetered kernel.
-pub fn stack_tree_pairs_metered<M: Meter>(
-    anc: &[(StructuralId, usize)],
-    desc: &[(StructuralId, usize)],
+/// [`stack_tree_pairs_columnar`] with execution counters: axis tests on
+/// the stack-scan loop count as comparisons, the open-ancestor stack's
+/// high-water mark is recorded, seeks report jumped-over elements and
+/// cleared fence blocks, and the vector kernels report
+/// `batches_scanned` / `vector_compares`. With [`NoMeter`] this
+/// monomorphizes to the unmetered kernel.
+pub fn stack_tree_pairs_columnar_metered<M: Meter>(
+    anc: &IdColumns,
+    desc: &IdColumns,
     axis: Axis,
+    config: EvalConfig,
     meter: &mut M,
 ) -> Vec<(usize, usize)> {
-    stack_tree_pairs_indexed_metered(anc, desc, axis, None, meter)
-}
-
-/// [`stack_tree_pairs`] with an optional skip index over the descendant
-/// stream. Whenever the ancestor stack runs empty, every descendant up
-/// to the next ancestor candidate's pre rank matches nothing, so the
-/// merge seeks the descendant cursor past it instead of stepping — and
-/// drops the whole descendant tail once ancestors are exhausted. With
-/// `None` this is exactly the linear merge.
-pub fn stack_tree_pairs_indexed(
-    anc: &[(StructuralId, usize)],
-    desc: &[(StructuralId, usize)],
-    axis: Axis,
-    desc_index: Option<&SkipIndex>,
-) -> Vec<(usize, usize)> {
-    stack_tree_pairs_indexed_metered(anc, desc, axis, desc_index, &mut NoMeter)
-}
-
-/// [`stack_tree_pairs_indexed`] with execution counters; seeks report
-/// jumped-over elements and pruned fence blocks.
-pub fn stack_tree_pairs_indexed_metered<M: Meter>(
-    anc: &[(StructuralId, usize)],
-    desc: &[(StructuralId, usize)],
-    axis: Axis,
-    desc_index: Option<&SkipIndex>,
-    meter: &mut M,
-) -> Vec<(usize, usize)> {
-    debug_assert!(anc.windows(2).all(|w| w[0].0.pre <= w[1].0.pre));
-    debug_assert!(desc.windows(2).all(|w| w[0].0.pre <= w[1].0.pre));
     // Most workloads pair each descendant with O(1) ancestors, so the
     // smaller input is a good first-allocation guess for the output.
     let mut out = Vec::with_capacity(anc.len().min(desc.len()));
@@ -108,95 +98,17 @@ pub fn stack_tree_pairs_indexed_metered<M: Meter>(
     let mut ai = 0;
     let mut di = 0;
     while di < desc.len() {
-        let (d, dpay) = desc[di];
-        // a descendant that arrives with the stack empty can only match
-        // ancestors still ahead, all with larger pre: seek straight to
-        // the next ancestor's pre rank (or drop the tail if none remain)
-        if stack.is_empty() && !(ai < anc.len() && anc[ai].0.pre <= d.pre) {
+        let dpre = desc.pre()[di];
+        if stack.is_empty() && !(ai < anc.len() && anc.pre()[ai] <= dpre) {
+            // a descendant that arrives with the stack empty can only
+            // match ancestors still ahead, all with larger pre
+            if !config.use_skip_index {
+                di += 1;
+                continue;
+            }
             // skipped counts exclude the element being inspected (it was
             // read to decide the seek) — the same convention as the twig
             // kernel, so `elements_skipped` is comparable across kernels
-            if let Some(ix) = desc_index {
-                if ai >= anc.len() {
-                    meter.skipped((desc.len() - di - 1) as u64);
-                    break;
-                }
-                // anc[ai].0.pre > d.pre here: descendants up to that pre
-                // rank (inclusive — a node is not its own ancestor)
-                // cannot match anc[ai] or anything after it
-                let s = ix.seek_descendant_of(desc, di, anc[ai].0);
-                meter.blocks_pruned(s.blocks_pruned);
-                meter.skipped((s.pos - di - 1) as u64);
-                di = s.pos;
-                continue;
-            }
-        }
-        // push all ancestors that start before this descendant, closing
-        // the stack entries that cannot contain them
-        while ai < anc.len() && anc[ai].0.pre <= d.pre {
-            let (a, apay) = anc[ai];
-            pop_closed(&mut stack, a.post);
-            stack.push((a, apay));
-            meter.stack_depth(stack.len());
-            ai += 1;
-        }
-        // close stack entries that are not ancestors of `d`
-        pop_closed(&mut stack, d.post);
-        // the stack is now exactly the ancestor chain of `d` among the
-        // candidates; emit matches (all of them for `//`, the depth-adjacent
-        // ones for `/`)
-        meter.comparisons(stack.len() as u64);
-        for &(a, apay) in stack.iter().rev() {
-            if axis_match(a, d, axis) {
-                out.push((apay, dpay));
-            }
-        }
-        di += 1;
-    }
-    out
-}
-
-/// [`stack_tree_pairs`] over packed [`IdColumns`] streams — the
-/// vectorized cascade kernel behind `columnar_kernels`. Emits exactly
-/// the pairs (and order) of the scalar merge; the advance machinery
-/// exploits the columnar layout twice:
-///
-/// * **bulk emit** — when exactly one ancestor is open and the next
-///   ancestor candidate starts later, every following descendant whose
-///   pre rank stays below that next candidate and whose post rank stays
-///   inside the open ancestor pairs with it and only it: no push, no
-///   pop, no per-element stack scan. [`IdColumns::leading_run`] counts
-///   the run a block at a time; the `/` axis adds a depth-column check
-///   per element but still no stack traffic.
-/// * **bulk skip** — an empty stack with the next ancestor ahead means
-///   a prunable descendant run; [`IdColumns::seek_pre_gt`] gallops past
-///   it (the sorted pre column is seekable by construction, so the
-///   columnar kernel always skips, index or not).
-pub fn stack_tree_pairs_columnar(
-    anc: &IdColumns,
-    desc: &IdColumns,
-    axis: Axis,
-) -> Vec<(usize, usize)> {
-    stack_tree_pairs_columnar_metered(anc, desc, axis, &mut NoMeter)
-}
-
-/// [`stack_tree_pairs_columnar`] with execution counters; the vector
-/// kernels additionally report `batches_scanned` / `vector_compares`.
-pub fn stack_tree_pairs_columnar_metered<M: Meter>(
-    anc: &IdColumns,
-    desc: &IdColumns,
-    axis: Axis,
-    meter: &mut M,
-) -> Vec<(usize, usize)> {
-    let mut out = Vec::with_capacity(anc.len().min(desc.len()));
-    let mut stack: Vec<(StructuralId, usize)> = Vec::with_capacity(16);
-    let mut ai = 0;
-    let mut di = 0;
-    while di < desc.len() {
-        let dpre = desc.pre()[di];
-        if stack.is_empty() && !(ai < anc.len() && anc.pre()[ai] <= dpre) {
-            // same skipped-count convention as the scalar indexed merge:
-            // the inspected element is excluded
             if ai >= anc.len() {
                 meter.skipped((desc.len() - di - 1) as u64);
                 break;
@@ -209,6 +121,8 @@ pub fn stack_tree_pairs_columnar_metered<M: Meter>(
             di = s;
             continue;
         }
+        // push all ancestors that start before this descendant, closing
+        // the stack entries that cannot contain them
         while ai < anc.len() && anc.pre()[ai] <= dpre {
             let a = anc.sid(ai);
             pop_closed(&mut stack, a.post);
@@ -216,9 +130,10 @@ pub fn stack_tree_pairs_columnar_metered<M: Meter>(
             meter.stack_depth(stack.len());
             ai += 1;
         }
+        // close stack entries that are not ancestors of `d`
         let d = desc.sid(di);
         pop_closed(&mut stack, d.post);
-        if stack.len() == 1 && stack[0].0.pre < d.pre {
+        if config.columnar_kernels && stack.len() == 1 && stack[0].0.pre < d.pre {
             // single open ancestor `a`, next candidate strictly ahead:
             // the whole run below both bounds pairs with `a` alone. The
             // run is non-empty — d itself qualifies (pre > a.pre by the
@@ -248,6 +163,9 @@ pub fn stack_tree_pairs_columnar_metered<M: Meter>(
             di += run;
             continue;
         }
+        // the stack is now exactly the ancestor chain of `d` among the
+        // candidates; emit matches (all of them for `//`, the depth-adjacent
+        // ones for `/`)
         meter.comparisons(stack.len() as u64);
         for &(a, apay) in stack.iter().rev() {
             if axis_match(a, d, axis) {
@@ -291,6 +209,61 @@ mod tests {
             .collect()
     }
 
+    /// Every `{seek, bulk}` flag combination of the kernel.
+    fn flag_grid() -> Vec<EvalConfig> {
+        let mut out = Vec::new();
+        for use_skip_index in [false, true] {
+            for columnar_kernels in [false, true] {
+                out.push(EvalConfig {
+                    use_skip_index,
+                    columnar_kernels,
+                    ..EvalConfig::default()
+                });
+            }
+        }
+        out
+    }
+
+    /// The kernel under the default flags and block size.
+    fn pairs(
+        anc: &[(StructuralId, usize)],
+        desc: &[(StructuralId, usize)],
+        axis: Axis,
+    ) -> Vec<(usize, usize)> {
+        let ac = IdColumns::from_pairs(anc, crate::simd::DEFAULT_BLOCK);
+        let dc = IdColumns::from_pairs(desc, crate::simd::DEFAULT_BLOCK);
+        stack_tree_pairs_columnar(&ac, &dc, axis, EvalConfig::default())
+    }
+
+    /// The kernel must reproduce the nested-loop oracle under every flag
+    /// combination and block layout, in descendant order.
+    fn check(
+        anc: &[(StructuralId, usize)],
+        desc: &[(StructuralId, usize)],
+        axis: Axis,
+        what: &str,
+    ) {
+        let mut want = nested_loop_pairs(anc, desc, axis);
+        want.sort_unstable();
+        for block in [1, 2, 13, 64] {
+            let ac = IdColumns::from_pairs(anc, block);
+            let dc = IdColumns::from_pairs(desc, block);
+            let mut first: Option<Vec<(usize, usize)>> = None;
+            for config in flag_grid() {
+                let got = stack_tree_pairs_columnar(&ac, &dc, axis, config);
+                let flags = (config.use_skip_index, config.columnar_kernels);
+                // emission order is part of the contract, not just the set
+                match &first {
+                    Some(f) => assert_eq!(&got, f, "{what} block={block} flags={flags:?}"),
+                    None => first = Some(got.clone()),
+                }
+                let mut sorted = got;
+                sorted.sort_unstable();
+                assert_eq!(sorted, want, "{what} block={block} flags={flags:?}");
+            }
+        }
+    }
+
     #[test]
     fn matches_nested_loop_on_xmark() {
         let doc = generate::xmark(4, 11);
@@ -298,17 +271,16 @@ mod tests {
             ("item", "keyword"),
             ("parlist", "listitem"),
             ("listitem", "parlist"),
+            ("parlist", "parlist"),
             ("description", "bold"),
+            ("bold", "keyword"),
             ("site", "item"),
+            ("mail", "keyword"),
         ] {
             let anc = ids(&doc, anc_l);
             let desc = ids(&doc, desc_l);
             for axis in [Axis::Child, Axis::Descendant] {
-                let mut a = stack_tree_pairs(&anc, &desc, axis);
-                let mut b = nested_loop_pairs(&anc, &desc, axis);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "{anc_l} {axis:?} {desc_l}");
+                check(&anc, &desc, axis, &format!("{anc_l} {axis:?} {desc_l}"));
             }
         }
     }
@@ -320,7 +292,7 @@ mod tests {
         let doc = generate::xmark(3, 7);
         let anc = ids(&doc, "parlist");
         let desc = ids(&doc, "keyword");
-        let pairs = stack_tree_pairs(&anc, &desc, Axis::Descendant);
+        let pairs = pairs(&anc, &desc, Axis::Descendant);
         // at least one keyword has ≥ 2 parlist ancestors
         let mut per_desc = std::collections::HashMap::new();
         for (_, d) in &pairs {
@@ -337,69 +309,57 @@ mod tests {
         let doc = generate::xmark(3, 5);
         let anc = ids(&doc, "item");
         let desc = ids(&doc, "keyword");
-        let pairs = stack_tree_pairs(&anc, &desc, Axis::Descendant);
+        let pairs = pairs(&anc, &desc, Axis::Descendant);
         assert!(pairs.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     #[test]
     fn metered_variant_counts_and_matches_unmetered() {
         let doc = generate::xmark(3, 7);
-        let anc = ids(&doc, "parlist");
-        let desc = ids(&doc, "keyword");
-        let mut metrics = obs::ExecMetrics::default();
-        let metered = stack_tree_pairs_metered(&anc, &desc, Axis::Descendant, &mut metrics);
-        assert_eq!(metered, stack_tree_pairs(&anc, &desc, Axis::Descendant));
-        // parlist recursion guarantees a stack deeper than one and at
-        // least one comparison per emitted pair
-        assert!(metrics.stack_high_water >= 2, "{metrics:?}");
-        assert!(metrics.comparisons >= metered.len() as u64);
-    }
-
-    #[test]
-    fn indexed_merge_matches_linear_and_skips() {
-        let doc = generate::xmark(4, 11);
-        for (anc_l, desc_l) in [
-            ("bold", "keyword"),
-            ("item", "keyword"),
-            ("parlist", "parlist"),
-            ("site", "item"),
-        ] {
-            let anc = ids(&doc, anc_l);
-            let desc = ids(&doc, desc_l);
-            for axis in [Axis::Child, Axis::Descendant] {
-                let want = stack_tree_pairs(&anc, &desc, axis);
-                for block in [1, 7, 64] {
-                    let ix = SkipIndex::with_block(&desc, block);
-                    assert_eq!(
-                        stack_tree_pairs_indexed(&anc, &desc, axis, Some(&ix)),
-                        want,
-                        "{anc_l} {axis:?} {desc_l} block={block}"
-                    );
-                }
-            }
+        let ac = IdColumns::from_pairs(&ids(&doc, "parlist"), 64);
+        let dc = IdColumns::from_pairs(&ids(&doc, "keyword"), 64);
+        for config in flag_grid() {
+            let mut metrics = obs::ExecMetrics::default();
+            let metered =
+                stack_tree_pairs_columnar_metered(&ac, &dc, Axis::Descendant, config, &mut metrics);
+            assert_eq!(
+                metered,
+                stack_tree_pairs_columnar(&ac, &dc, Axis::Descendant, config)
+            );
+            // parlist recursion guarantees a stack deeper than one and at
+            // least one comparison per emitted pair
+            assert!(metrics.stack_high_water >= 2, "{metrics:?}");
+            assert!(metrics.comparisons >= metered.len() as u64);
         }
-        // sparse ancestors (mails) over a dense descendant stream must
-        // skip: the keywords under item descriptions between consecutive
-        // mail subtrees are seeked over wholesale
-        let anc = ids(&doc, "mail");
-        let desc = ids(&doc, "keyword");
-        let ix = SkipIndex::build(&desc);
-        let mut metrics = obs::ExecMetrics::default();
-        let got = stack_tree_pairs_indexed_metered(
-            &anc,
-            &desc,
-            Axis::Descendant,
-            Some(&ix),
-            &mut metrics,
-        );
-        assert_eq!(got, stack_tree_pairs(&anc, &desc, Axis::Descendant));
-        assert!(metrics.elements_skipped > 0, "{metrics:?}");
     }
 
     #[test]
-    fn indexed_merge_handles_duplicate_descendant_ids() {
+    fn seeking_skips_and_bulk_batches() {
+        let doc = generate::xmark(4, 11);
+        // sparse ancestors (mails) over a dense descendant stream: the
+        // keywords under item descriptions between consecutive mail
+        // subtrees are seeked over wholesale
+        let ac = IdColumns::from_pairs(&ids(&doc, "mail"), 64);
+        let dc = IdColumns::from_pairs(&ids(&doc, "keyword"), 64);
+        for config in flag_grid() {
+            let mut m = obs::ExecMetrics::default();
+            stack_tree_pairs_columnar_metered(&ac, &dc, Axis::Descendant, config, &mut m);
+            assert_eq!(m.elements_skipped > 0, config.use_skip_index, "{m:?}");
+        }
+        // dense pairing under one ancestor goes through the bulk-emit path
+        let ac = IdColumns::from_pairs(&ids(&doc, "site"), 64);
+        let dc = IdColumns::from_pairs(&ids(&doc, "item"), 64);
+        for config in flag_grid() {
+            let mut m = obs::ExecMetrics::default();
+            stack_tree_pairs_columnar_metered(&ac, &dc, Axis::Descendant, config, &mut m);
+            assert_eq!(m.batches_scanned > 0, config.columnar_kernels, "{m:?}");
+        }
+    }
+
+    #[test]
+    fn duplicate_descendant_ids_match_nested_loop() {
         // join inputs can repeat a node ID across tuples (a view column
-        // joined on the same node), so the kernel's index must stay
+        // joined on the same node), so seeks and bulk runs must stay
         // exact on non-strictly sorted streams — including duplicates
         // straddling fence-block boundaries
         let doc = generate::xmark(3, 11);
@@ -411,91 +371,17 @@ mod tests {
             }
         }
         for axis in [Axis::Child, Axis::Descendant] {
-            let mut want = nested_loop_pairs(&anc, &desc, axis);
-            want.sort_unstable();
-            for block in [1, 2, 7, 64] {
-                let ix = SkipIndex::with_block(&desc, block);
-                let mut got = stack_tree_pairs_indexed(&anc, &desc, axis, Some(&ix));
-                got.sort_unstable();
-                assert_eq!(got, want, "{axis:?} block={block}");
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_merge_matches_scalar_and_batches() {
-        let doc = generate::xmark(4, 11);
-        for (anc_l, desc_l) in [
-            ("item", "keyword"),
-            ("parlist", "listitem"),
-            ("parlist", "parlist"),
-            ("description", "bold"),
-            ("site", "item"),
-            ("mail", "keyword"),
-        ] {
-            let anc = ids(&doc, anc_l);
-            let desc = ids(&doc, desc_l);
-            for axis in [Axis::Child, Axis::Descendant] {
-                let want = stack_tree_pairs(&anc, &desc, axis);
-                for block in [1, 2, 13, 64] {
-                    let ac = IdColumns::from_pairs(&anc, block);
-                    let dc = IdColumns::from_pairs(&desc, block);
-                    assert_eq!(
-                        stack_tree_pairs_columnar(&ac, &dc, axis),
-                        want,
-                        "{anc_l} {axis:?} {desc_l} block={block}"
-                    );
-                }
-            }
-        }
-        // dense pairing goes through the bulk-emit path; sparse
-        // ancestors exercise the gallop
-        let anc = ids(&doc, "site");
-        let desc = ids(&doc, "item");
-        let ac = IdColumns::from_pairs(&anc, 64);
-        let dc = IdColumns::from_pairs(&desc, 64);
-        let mut m = obs::ExecMetrics::default();
-        let got = stack_tree_pairs_columnar_metered(&ac, &dc, Axis::Descendant, &mut m);
-        assert_eq!(got, stack_tree_pairs(&anc, &desc, Axis::Descendant));
-        assert!(m.batches_scanned > 0, "{m:?}");
-        let anc = ids(&doc, "mail");
-        let desc = ids(&doc, "keyword");
-        let ac = IdColumns::from_pairs(&anc, 64);
-        let dc = IdColumns::from_pairs(&desc, 64);
-        let mut m = obs::ExecMetrics::default();
-        stack_tree_pairs_columnar_metered(&ac, &dc, Axis::Descendant, &mut m);
-        assert!(m.elements_skipped > 0, "{m:?}");
-    }
-
-    #[test]
-    fn columnar_merge_handles_duplicate_ids() {
-        let doc = generate::xmark(3, 11);
-        let anc = ids(&doc, "item");
-        let mut desc: Vec<(StructuralId, usize)> = Vec::new();
-        for (i, (sid, _)) in ids(&doc, "keyword").into_iter().enumerate() {
-            for _ in 0..=(i % 3) {
-                desc.push((sid, desc.len()));
-            }
-        }
-        for axis in [Axis::Child, Axis::Descendant] {
-            let want = stack_tree_pairs(&anc, &desc, axis);
-            for block in [1, 2, 13, 64] {
-                let ac = IdColumns::from_pairs(&anc, block);
-                let dc = IdColumns::from_pairs(&desc, block);
-                assert_eq!(
-                    stack_tree_pairs_columnar(&ac, &dc, axis),
-                    want,
-                    "{axis:?} block={block}"
-                );
-            }
+            check(&anc, &desc, axis, &format!("item {axis:?} keyword×dup"));
         }
     }
 
     #[test]
     fn empty_inputs() {
-        assert!(stack_tree_pairs(&[], &[], Axis::Child).is_empty());
         let one = vec![(StructuralId::new(0, 10, 1), 0)];
-        assert!(stack_tree_pairs(&one, &[], Axis::Descendant).is_empty());
-        assert!(stack_tree_pairs(&[], &one, Axis::Descendant).is_empty());
+        for axis in [Axis::Child, Axis::Descendant] {
+            check(&[], &[], axis, "empty");
+            check(&one, &[], axis, "no descendants");
+            check(&[], &one, axis, "no ancestors");
+        }
     }
 }

@@ -1,27 +1,28 @@
 //! Holistic twig joins (TwigStack/TwigList family): evaluate a whole
 //! tree pattern in a single multi-way merge over per-node ID streams.
 //!
-//! A cascade of binary [`crate::stacktree::stack_tree_pairs`] joins
-//! materializes an intermediate pair list at every axis step; for deep or
-//! wide twigs those intermediates can dwarf both the inputs and the final
-//! result. [`twig_join`] instead scans all streams once in global pre
-//! order, maintains the chain of currently-open (pre/post interval still
-//! active) stream elements, and records for every element the contiguous
-//! window of descendants it captured in each child stream. Root-to-leaf
-//! solutions are enumerated at the end directly from those windows —
-//! output-sensitive, with no intermediate pair materialization. Child
-//! (`/`) axis edges are filtered during the window checks and the final
-//! enumeration, exactly like the binary operators do.
+//! A cascade of binary [`crate::stacktree::stack_tree_pairs_columnar`]
+//! joins materializes an intermediate pair list at every axis step; for
+//! deep or wide twigs those intermediates can dwarf both the inputs and
+//! the final result. [`twig_join_columnar`] instead scans all streams
+//! once in global pre order, maintains the chain of currently-open
+//! (pre/post interval still active) stream elements, and records for
+//! every element the contiguous window of descendants it captured in
+//! each child stream. Root-to-leaf solutions are enumerated at the end
+//! directly from those windows — output-sensitive, with no intermediate
+//! pair materialization. Child (`/`) axis edges are filtered during the
+//! window checks and the final enumeration, exactly like the binary
+//! operators do.
 //!
 //! All streams must carry [`StructuralId`]s of the *same* document and be
-//! sorted by `pre` rank; the usize payloads are opaque tuple indices.
+//! sorted by `pre` rank; the payloads are opaque tuple indices.
 
 use obs::{Meter, NoMeter};
 use xmltree::StructuralId;
 
+use crate::eval::EvalConfig;
 use crate::plan::{Axis, JoinKind, LogicalPlan, TwigStep};
 use crate::simd::IdColumns;
-use crate::skip::SkipIndex;
 use crate::stacktree::axis_match;
 
 /// One node of a twig pattern: its parent pattern-node index and the axis
@@ -153,70 +154,65 @@ fn close_entry<M: Meter>(
     lists[q].entries[i].satisfied = sat;
 }
 
-/// Compute all matches of `pattern` over one ID stream per pattern node
-/// (`streams[i]` feeds pattern node `i`; all sorted by `pre`, all from
-/// the same document). Returns one payload vector per solution, indexed
-/// by pattern node, sorted lexicographically — the same order a left-deep
-/// cascade of inner StackTree joins produces.
-pub fn twig_join(pattern: &TwigPattern, streams: &[&[(StructuralId, usize)]]) -> Vec<Vec<usize>> {
-    twig_join_metered(pattern, streams, &mut NoMeter)
+/// Compute all matches of `pattern` over one packed ID stream per
+/// pattern node (`streams[i]` feeds pattern node `i`; all sorted by
+/// `pre`, all from the same document). Returns one payload vector per
+/// solution, indexed by pattern node, sorted lexicographically — the
+/// same order a left-deep cascade of inner StackTree joins produces.
+///
+/// Two flags of `config` pick the advance machinery; the solutions (and
+/// their order) are the same under every combination:
+///
+/// * **seeking** (`use_skip_index`) — when a non-root node `q` has no
+///   open parent entry, every `q`-element up to the parent stream's
+///   head can never be contained by any future parent candidate (they
+///   all arrive with larger pre), so [`IdColumns::seek_pre_gt`] gallops
+///   `q` straight past the parent head — or to end-of-stream when the
+///   parent is exhausted. Off, the kernel discards one element per step.
+/// * **bulk leaf append** (`columnar_kernels`) — when the minimum head
+///   belongs to a leaf pattern node, every following leaf element whose
+///   pre rank stays strictly below all other heads and whose post rank
+///   stays inside the innermost open entry can be appended with no
+///   stack transition at all: no pop can trigger (posts are nested), the
+///   parent entry stays open, and leaf entries are born satisfied (their
+///   pattern subtree is empty). [`IdColumns::leading_run`] counts that
+///   run a block at a time and the loop appends it wholesale. Leaf
+///   entries appended in bulk never enter the open chain, so
+///   `stack_high_water` reads lower than with the flag off.
+pub fn twig_join_columnar(
+    pattern: &TwigPattern,
+    streams: &[&IdColumns],
+    config: EvalConfig,
+) -> Vec<Vec<usize>> {
+    twig_join_columnar_metered(pattern, streams, config, &mut NoMeter)
 }
 
-/// [`twig_join`] with execution counters: window scans count as
+/// [`twig_join_columnar`] with execution counters: window scans count as
 /// comparisons, the open-entry chain's depth and the total resident
-/// solution-list entries are tracked as high-water marks. With
-/// [`NoMeter`] this monomorphizes to the unmetered kernel.
-pub fn twig_join_metered<M: Meter>(
+/// solution-list entries are tracked as high-water marks, seeks report
+/// jumped-over elements and cleared fence blocks, and the vector kernels
+/// report `batches_scanned` / `vector_compares`. With [`NoMeter`] this
+/// monomorphizes to the unmetered kernel.
+pub fn twig_join_columnar_metered<M: Meter>(
     pattern: &TwigPattern,
-    streams: &[&[(StructuralId, usize)]],
-    meter: &mut M,
-) -> Vec<Vec<usize>> {
-    let none: Vec<Option<&SkipIndex>> = vec![None; streams.len()];
-    twig_join_indexed_metered(pattern, streams, &none, meter)
-}
-
-/// [`twig_join`] with per-stream skip indexes: where the unindexed
-/// kernel discards prunable elements one `next` at a time, this variant
-/// *seeks*. When a non-root node `q` has no open parent entry, every
-/// `q`-element up to the parent stream's head can never be contained by
-/// any future parent candidate (they all arrive with larger pre), so the
-/// kernel jumps `q` straight past the parent head — or to end-of-stream
-/// when the parent is exhausted. `indexes[i]` must be built over exactly
-/// `streams[i]`; `None` entries fall back to the linear discard, so the
-/// all-`None` call is byte-for-byte the PR 2 kernel.
-pub fn twig_join_indexed(
-    pattern: &TwigPattern,
-    streams: &[&[(StructuralId, usize)]],
-    indexes: &[Option<&SkipIndex>],
-) -> Vec<Vec<usize>> {
-    twig_join_indexed_metered(pattern, streams, indexes, &mut NoMeter)
-}
-
-/// [`twig_join_indexed`] with execution counters; seeks additionally
-/// report jumped-over elements and pruned fence blocks.
-pub fn twig_join_indexed_metered<M: Meter>(
-    pattern: &TwigPattern,
-    streams: &[&[(StructuralId, usize)]],
-    indexes: &[Option<&SkipIndex>],
+    streams: &[&IdColumns],
+    config: EvalConfig,
     meter: &mut M,
 ) -> Vec<Vec<usize>> {
     let n = pattern.len();
     assert_eq!(streams.len(), n, "one stream per pattern node");
-    assert_eq!(indexes.len(), n, "one (optional) index per pattern node");
-    for s in streams {
-        debug_assert!(s.windows(2).all(|w| w[0].0.pre <= w[1].0.pre));
-    }
     let mut lists: Vec<NodeList> = (0..n)
         .map(|q| NodeList {
             entries: Vec::with_capacity(streams[q].len()),
             ranges: Vec::with_capacity(streams[q].len() * 2 * pattern.children(q).len()),
         })
         .collect();
+    let is_leaf: Vec<bool> = (0..n).map(|q| pattern.children(q).is_empty()).collect();
     let mut cur = vec![0usize; n];
     // cached head pre ranks, u32::MAX = exhausted; patterns are tiny, so
     // a linear min scan beats a heap
     let mut heads: Vec<u32> = (0..n)
-        .map(|q| streams[q].first().map_or(u32::MAX, |e| e.0.pre))
+        .map(|q| streams[q].pre().first().copied().unwrap_or(u32::MAX))
         .collect();
     // chain of currently-open entries, outermost first, plus the number
     // of open entries per pattern node
@@ -234,141 +230,10 @@ pub fn twig_join_indexed_metered<M: Meter>(
         if heads[q] == u32::MAX {
             break;
         }
-        let (sid, payload) = streams[q][cur[q]];
-        // close every open entry whose interval ended before `sid`: with
-        // arrivals in pre order it can contain neither `sid` nor anything
-        // after it
-        while let Some(&(oq, oi)) = open.last() {
-            if lists[oq].entries[oi].sid.post < sid.post {
-                close_entry(pattern, &mut lists, oq, oi, meter);
-                open_count[oq] -= 1;
-                open.pop();
-            } else {
-                break;
-            }
-        }
-        // TwigStack-style pruning: after the pops, every open entry
-        // strictly contains `sid`, so a non-root element participates in
-        // a solution only if some entry of its parent pattern node is
-        // open right now — otherwise discard it entirely (no later parent
-        // candidate can contain it: they all arrive with larger pre).
-        // With a skip index the same argument covers every `q`-element up
-        // to the parent's head, so the kernel seeks instead of stepping.
-        if let Some(p) = pattern.node(q).parent {
-            if open_count[p] == 0 {
-                match indexes[q] {
-                    Some(_) if heads[p] == u32::MAX => {
-                        // parent exhausted with nothing open: no later
-                        // q-element can ever be matched
-                        meter.skipped((streams[q].len() - cur[q] - 1) as u64);
-                        cur[q] = streams[q].len();
-                        heads[q] = u32::MAX;
-                    }
-                    Some(ix) => {
-                        // `q` held the minimum head, so its current pre
-                        // is ≤ the parent head's pre and the seek always
-                        // advances past at least the current element
-                        let anchor = streams[p][cur[p]].0;
-                        let s = ix.seek_descendant_of(streams[q], cur[q], anchor);
-                        meter.skipped((s.pos - cur[q] - 1) as u64);
-                        meter.blocks_pruned(s.blocks_pruned);
-                        cur[q] = s.pos;
-                        heads[q] = streams[q].get(cur[q]).map_or(u32::MAX, |e| e.0.pre);
-                    }
-                    None => {
-                        cur[q] += 1;
-                        heads[q] = streams[q].get(cur[q]).map_or(u32::MAX, |e| e.0.pre);
-                    }
-                }
-                continue;
-            }
-        }
-        cur[q] += 1;
-        heads[q] = streams[q].get(cur[q]).map_or(u32::MAX, |e| e.0.pre);
-        for k in 0..pattern.children(q).len() {
-            let c = pattern.children(q)[k];
-            let start = lists[c].entries.len() as u32;
-            lists[q].ranges.push(start);
-            lists[q].ranges.push(0);
-        }
-        lists[q].entries.push(Entry {
-            sid,
-            payload,
-            satisfied: false,
-        });
-        resident += 1;
-        meter.solutions(resident);
-        open.push((q, lists[q].entries.len() - 1));
-        meter.stack_depth(open.len());
-        open_count[q] += 1;
-    }
-    while let Some((oq, oi)) = open.pop() {
-        close_entry(pattern, &mut lists, oq, oi, meter);
-    }
-    enumerate(pattern, &lists, meter)
-}
-
-/// [`twig_join`] over packed [`IdColumns`] streams — the vectorized
-/// kernel behind `columnar_kernels`. Produces exactly the solutions (and
-/// order) of the scalar kernels; only the advance machinery differs:
-///
-/// * **bulk leaf append** — when the minimum head belongs to a leaf
-///   pattern node, every following leaf element whose pre rank stays
-///   strictly below all other heads and whose post rank stays inside the
-///   innermost open entry can be appended with no stack transition at
-///   all: no pop can trigger (posts are nested), the parent entry stays
-///   open, and leaf entries are born satisfied (their pattern subtree is
-///   empty). [`IdColumns::leading_run`] counts that run a block at a
-///   time and the loop appends it wholesale.
-/// * **bulk discard** — the parent-open pruning arm always seeks: the
-///   sorted `pre` column *is* the level-0 fence of a skip index, so
-///   [`IdColumns::seek_pre_gt`] gallops past the prunable run instead of
-///   stepping. This covers the unindexed case too — a packed column is
-///   seekable by construction.
-///
-/// Leaf entries appended in bulk never enter the open chain, so
-/// `stack_high_water` can read lower than the scalar kernel's; solution
-/// output is nevertheless byte-identical (entries, windows and
-/// satisfiability are the same — see the soundness notes in DESIGN.md).
-pub fn twig_join_columnar(pattern: &TwigPattern, streams: &[&IdColumns]) -> Vec<Vec<usize>> {
-    twig_join_columnar_metered(pattern, streams, &mut NoMeter)
-}
-
-/// [`twig_join_columnar`] with execution counters; the vector kernels
-/// additionally report `batches_scanned` / `vector_compares`.
-pub fn twig_join_columnar_metered<M: Meter>(
-    pattern: &TwigPattern,
-    streams: &[&IdColumns],
-    meter: &mut M,
-) -> Vec<Vec<usize>> {
-    let n = pattern.len();
-    assert_eq!(streams.len(), n, "one stream per pattern node");
-    let mut lists: Vec<NodeList> = (0..n)
-        .map(|q| NodeList {
-            entries: Vec::with_capacity(streams[q].len()),
-            ranges: Vec::with_capacity(streams[q].len() * 2 * pattern.children(q).len()),
-        })
-        .collect();
-    let is_leaf: Vec<bool> = (0..n).map(|q| pattern.children(q).is_empty()).collect();
-    let mut cur = vec![0usize; n];
-    let mut heads: Vec<u32> = (0..n)
-        .map(|q| streams[q].pre().first().copied().unwrap_or(u32::MAX))
-        .collect();
-    let mut open: Vec<(usize, usize)> = Vec::new();
-    let mut open_count = vec![0usize; n];
-    let mut resident = 0usize;
-    loop {
-        let mut q = 0;
-        for r in 1..n {
-            if heads[r] < heads[q] {
-                q = r;
-            }
-        }
-        if heads[q] == u32::MAX {
-            break;
-        }
-        // only the post rank matters until an entry is actually pushed —
-        // defer the depth gather instead of reassembling the full sid
+        // close every open entry whose interval ended before the head:
+        // with arrivals in pre order it can contain neither the head nor
+        // anything after it. Only the post rank matters until an entry
+        // is actually pushed — defer the full sid gather.
         let post_q = streams[q].post()[cur[q]];
         while let Some(&(oq, oi)) = open.last() {
             if lists[oq].entries[oi].sid.post < post_q {
@@ -379,27 +244,35 @@ pub fn twig_join_columnar_metered<M: Meter>(
                 break;
             }
         }
+        // TwigStack-style pruning: after the pops, every open entry
+        // strictly contains the head, so a non-root element participates
+        // in a solution only if some entry of its parent pattern node is
+        // open right now — otherwise discard it (no later parent
+        // candidate can contain it: they all arrive with larger pre).
         if let Some(p) = pattern.node(q).parent {
             if open_count[p] == 0 {
-                if heads[p] == u32::MAX {
+                if !config.use_skip_index {
+                    cur[q] += 1;
+                } else if heads[p] == u32::MAX {
+                    // parent exhausted with nothing open: no later
+                    // q-element can ever be matched
                     meter.skipped((streams[q].len() - cur[q] - 1) as u64);
                     cur[q] = streams[q].len();
-                    heads[q] = u32::MAX;
                 } else {
                     // q held the minimum head, so heads[q] <= heads[p]
                     // and the seek always advances past cur[q]
                     let s = streams[q].seek_pre_gt(cur[q], heads[p], meter);
                     meter.skipped((s - cur[q] - 1) as u64);
                     cur[q] = s;
-                    heads[q] = streams[q].pre().get(cur[q]).copied().unwrap_or(u32::MAX);
                 }
+                heads[q] = streams[q].pre().get(cur[q]).copied().unwrap_or(u32::MAX);
                 continue;
             }
         }
-        if is_leaf[q] {
+        if config.columnar_kernels && is_leaf[q] {
             // bound on pre: the run must stay strictly below every other
             // head so q keeps holding the merge minimum (ties fall back
-            // to the scalar step, preserving its tie-break); bound on
+            // to the single step, preserving its tie-break); bound on
             // post: the innermost open entry has the smallest open post,
             // so staying under it triggers no pops and keeps the parent
             // entry open for the whole run
@@ -830,33 +703,51 @@ mod tests {
         out
     }
 
+    /// Every `{seek, bulk}` flag combination of the kernel.
+    fn flag_grid() -> Vec<EvalConfig> {
+        let mut out = Vec::new();
+        for use_skip_index in [false, true] {
+            for columnar_kernels in [false, true] {
+                out.push(EvalConfig {
+                    use_skip_index,
+                    columnar_kernels,
+                    ..EvalConfig::default()
+                });
+            }
+        }
+        out
+    }
+
+    fn pack(streams: &[&[(StructuralId, usize)]], block: usize) -> Vec<IdColumns> {
+        streams
+            .iter()
+            .map(|s| IdColumns::from_pairs(s, block))
+            .collect()
+    }
+
+    /// The kernel under the default flags and block size.
+    fn twig(pattern: &TwigPattern, streams: &[&[(StructuralId, usize)]]) -> Vec<Vec<usize>> {
+        let cols = pack(streams, crate::simd::DEFAULT_BLOCK);
+        let refs: Vec<&IdColumns> = cols.iter().collect();
+        twig_join_columnar(pattern, &refs, EvalConfig::default())
+    }
+
+    /// The kernel must reproduce the reference under every flag
+    /// combination and block layout.
     fn check(pattern: &TwigPattern, streams: &[&[(StructuralId, usize)]]) {
-        let got = twig_join(pattern, streams);
         let want = reference(pattern, streams);
-        assert_eq!(got, want);
-        // the indexed and columnar kernels must agree for every block
-        // layout
-        for block in [1, 2, 64, 7] {
-            let ixs: Vec<SkipIndex> = streams
-                .iter()
-                .map(|s| SkipIndex::with_block(s, block))
-                .collect();
-            let refs: Vec<Option<&SkipIndex>> = ixs.iter().map(Some).collect();
-            assert_eq!(
-                twig_join_indexed(pattern, streams, &refs),
-                want,
-                "indexed kernel diverged at block={block}"
-            );
-            let cols: Vec<IdColumns> = streams
-                .iter()
-                .map(|s| IdColumns::from_pairs(s, block))
-                .collect();
-            let crefs: Vec<&IdColumns> = cols.iter().collect();
-            assert_eq!(
-                twig_join_columnar(pattern, &crefs),
-                want,
-                "columnar kernel diverged at block={block}"
-            );
+        for block in [1, 2, 13, 64] {
+            let cols = pack(streams, block);
+            let refs: Vec<&IdColumns> = cols.iter().collect();
+            for config in flag_grid() {
+                assert_eq!(
+                    twig_join_columnar(pattern, &refs, config),
+                    want,
+                    "kernel diverged at block={block} seek={} bulk={}",
+                    config.use_skip_index,
+                    config.columnar_kernels
+                );
+            }
         }
     }
 
@@ -916,7 +807,7 @@ mod tests {
         let listitems = ids(&doc, "listitem");
         let p = TwigPattern::chain(&[Axis::Descendant, Axis::Descendant]);
         let refs: Vec<&[(StructuralId, usize)]> = vec![&parlists, &parlists, &listitems];
-        let got = twig_join(&p, &refs);
+        let got = twig(&p, &refs);
         assert!(!got.is_empty(), "xmark recursion must produce matches");
         assert!(got.iter().all(|s| s[0] != s[1]), "no self pairs");
         check(&p, &refs);
@@ -927,8 +818,8 @@ mod tests {
         let doc = generate::xmark(2, 9);
         let anc = ids(&doc, "parlist");
         let desc = ids(&doc, "keyword");
-        let child = twig_join(&TwigPattern::chain(&[Axis::Child]), &[&anc, &desc]);
-        let descd = twig_join(&TwigPattern::chain(&[Axis::Descendant]), &[&anc, &desc]);
+        let child = twig(&TwigPattern::chain(&[Axis::Child]), &[&anc, &desc]);
+        let descd = twig(&TwigPattern::chain(&[Axis::Descendant]), &[&anc, &desc]);
         assert!(
             child.len() < descd.len(),
             "{} vs {}",
@@ -942,11 +833,13 @@ mod tests {
     fn single_node_and_empty_streams() {
         let doc = generate::xmark(2, 5);
         let items = ids(&doc, "item");
-        let sols = twig_join(&TwigPattern::root(), &[&items]);
+        let sols = twig(&TwigPattern::root(), &[&items]);
         assert_eq!(sols.len(), items.len());
         let p = TwigPattern::chain(&[Axis::Descendant]);
-        assert!(twig_join(&p, &[&items, &[]]).is_empty());
-        assert!(twig_join(&p, &[&[], &items]).is_empty());
+        assert!(twig(&p, &[&items, &[]]).is_empty());
+        assert!(twig(&p, &[&[], &items]).is_empty());
+        check(&p, &[&items, &[]]);
+        check(&p, &[&[], &items]);
     }
 
     #[test]
@@ -957,18 +850,22 @@ mod tests {
             .map(|l| ids(&doc, l))
             .collect();
         let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
+        let cols = pack(&refs, 64);
+        let crefs: Vec<&IdColumns> = cols.iter().collect();
         let pattern = TwigPattern::chain(&[Axis::Descendant, Axis::Descendant]);
-        let mut metrics = obs::ExecMetrics::default();
-        let metered = twig_join_metered(&pattern, &refs, &mut metrics);
-        assert_eq!(metered, twig_join(&pattern, &refs));
-        assert!(!metered.is_empty());
-        assert!(metrics.comparisons > 0, "{metrics:?}");
-        assert!(metrics.stack_high_water >= 2, "{metrics:?}");
-        assert!(metrics.solutions_high_water >= pattern.len() as u64);
+        for config in flag_grid() {
+            let mut metrics = obs::ExecMetrics::default();
+            let metered = twig_join_columnar_metered(&pattern, &crefs, config, &mut metrics);
+            assert_eq!(metered, twig_join_columnar(&pattern, &crefs, config));
+            assert!(!metered.is_empty());
+            assert!(metrics.comparisons > 0, "{metrics:?}");
+            assert!(metrics.stack_high_water >= 2, "{metrics:?}");
+            assert!(metrics.solutions_high_water >= pattern.len() as u64);
+        }
     }
 
     #[test]
-    fn indexed_kernel_skips_elements_on_selective_chains() {
+    fn seeking_skips_and_bulk_batches_on_selective_chains() {
         let doc = generate::xmark(4, 21);
         // mail//keyword: mails are rare and keywords are everywhere (most
         // sit under item descriptions), so most of the keyword stream is
@@ -976,45 +873,30 @@ mod tests {
         let streams: Vec<Vec<(StructuralId, usize)>> =
             ["mail", "keyword"].iter().map(|l| ids(&doc, l)).collect();
         let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
-        let pattern = TwigPattern::chain(&[Axis::Descendant]);
-        let ixs: Vec<SkipIndex> = streams.iter().map(|s| SkipIndex::build(s)).collect();
-        let opts: Vec<Option<&SkipIndex>> = ixs.iter().map(Some).collect();
-        let mut metrics = obs::ExecMetrics::default();
-        let indexed = twig_join_indexed_metered(&pattern, &refs, &opts, &mut metrics);
-        assert_eq!(indexed, twig_join(&pattern, &refs));
-        assert!(
-            metrics.elements_skipped > 0,
-            "selective chain must skip: {metrics:?}"
-        );
-        // mixed registration: only the leaf stream indexed
-        let mixed: Vec<Option<&SkipIndex>> = vec![None, Some(&ixs[1])];
-        assert_eq!(twig_join_indexed(&pattern, &refs, &mixed), indexed);
-    }
-
-    #[test]
-    fn columnar_kernel_skips_and_batches() {
-        let doc = generate::xmark(4, 21);
-        // selective chain: the columnar kernel must gallop (skips), and
-        // the dense leaf runs must go through the batch path
-        let streams: Vec<Vec<(StructuralId, usize)>> =
-            ["mail", "keyword"].iter().map(|l| ids(&doc, l)).collect();
-        let cols: Vec<IdColumns> = streams
-            .iter()
-            .map(|s| IdColumns::from_pairs(s, 64))
-            .collect();
+        let cols = pack(&refs, 64);
         let crefs: Vec<&IdColumns> = cols.iter().collect();
-        let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
         let pattern = TwigPattern::chain(&[Axis::Descendant]);
-        let mut metrics = obs::ExecMetrics::default();
-        let got = twig_join_columnar_metered(&pattern, &crefs, &mut metrics);
-        assert_eq!(got, twig_join(&pattern, &refs));
-        assert!(metrics.elements_skipped > 0, "{metrics:?}");
-        assert!(metrics.batches_scanned > 0, "{metrics:?}");
-        assert!(metrics.vector_compares > 0, "{metrics:?}");
+        let want = reference(&pattern, &refs);
+        for config in flag_grid() {
+            let mut m = obs::ExecMetrics::default();
+            let got = twig_join_columnar_metered(&pattern, &crefs, config, &mut m);
+            assert_eq!(got, want);
+            // seeking is the only source of skipped elements; with
+            // both flags off no vector kernel runs at all
+            assert_eq!(m.elements_skipped > 0, config.use_skip_index, "{m:?}");
+            assert_eq!(
+                m.vector_compares > 0,
+                config.use_skip_index || config.columnar_kernels,
+                "{m:?}"
+            );
+            if config.use_skip_index {
+                assert!(m.batches_scanned > 0, "{m:?}");
+            }
+        }
     }
 
     #[test]
-    fn columnar_kernel_handles_duplicate_ids() {
+    fn duplicate_ids_match_reference() {
         // multi-tuple join inputs repeat IDs; bulk appends and seeks
         // must stay exact on non-strictly sorted columns
         let doc = generate::xmark(3, 11);

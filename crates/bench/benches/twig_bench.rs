@@ -7,11 +7,10 @@
 //! (asserted by the `twig_ablation` driver and the proptest suite);
 //! only wall-clock may differ.
 
-use algebra::twig_join;
+use algebra::EvalConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use storage::IdStreamIndex;
-use uload_bench::experiments::{cascade_solutions, twig_workloads};
-use xmltree::StructuralId;
+use uload_bench::experiments::{cascade_solutions, twig_kernel, twig_workloads};
 
 fn twig_vs_cascades(c: &mut Criterion) {
     let doc = xmltree::generate::xmark(15, 42);
@@ -21,9 +20,8 @@ fn twig_vs_cascades(c: &mut Criterion) {
     for w in twig_workloads() {
         let pattern = w.pattern();
         let streams = w.streams(&idx);
-        let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
         g.bench_function(BenchmarkId::new("twig", &w.name), |b| {
-            b.iter(|| twig_join(&pattern, &refs).len())
+            b.iter(|| twig_kernel(&pattern, &streams, EvalConfig::default()).len())
         });
         g.bench_function(BenchmarkId::new("stacktree", &w.name), |b| {
             b.iter(|| cascade_solutions(&w.parents, &w.axes, &streams, true).len())

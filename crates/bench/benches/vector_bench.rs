@@ -1,44 +1,35 @@
-//! E14 columnar-kernel grid: every workload of
-//! `experiments::vector_workloads` timed under the three access paths of
-//! the holistic twig join — the scalar linear sweep, the scalar
-//! XB-tree skip-indexed path, and the columnar kernel over packed
-//! pre/post/depth columns. All three produce identical solution sets
-//! (asserted by the `vector_parity` driver and the
-//! `columnar_matches_scalar` proptest); only wall-clock may differ.
-//! Access structures are prebuilt outside the timed closures — the
-//! store carries both, so steady-state serving never rebuilds them.
+//! E14 kernel-flag grid: every workload of
+//! `experiments::vector_workloads` timed under three flag settings of
+//! the one holistic twig kernel — neither seeking nor bulk runs
+//! (linear), seeking alone, and both (the engine default). All three
+//! produce identical solution sets (asserted by the `vector_parity`
+//! driver and the `columnar_matches_scalar` proptest); only wall-clock
+//! may differ. The packed columns are built outside the timed closures —
+//! the store carries them, so steady-state serving never rebuilds them.
 
-use algebra::{twig_join, twig_join_columnar, twig_join_indexed, IdColumns, SkipIndex};
+use algebra::{twig_join_columnar, EvalConfig, IdColumns};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use storage::IdStreamIndex;
-use uload_bench::experiments::vector_workloads;
-use xmltree::StructuralId;
+use uload_bench::experiments::{kernel_flags, pack_streams, vector_workloads};
 
-fn columnar_vs_scalar(c: &mut Criterion) {
+fn kernel_flag_grid(c: &mut Criterion) {
     let doc = xmltree::generate::xmark(15, 42);
     let idx = IdStreamIndex::build(&doc);
     let mut g = c.benchmark_group("e14_vector_parity");
     g.sample_size(10);
     for w in vector_workloads() {
         let pattern = w.pattern();
-        let streams = w.streams(&idx);
-        let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
-        let skips: Vec<SkipIndex> = streams.iter().map(|s| SkipIndex::build(s)).collect();
-        let opts: Vec<Option<&SkipIndex>> = skips.iter().map(Some).collect();
-        let cols: Vec<IdColumns> = streams
-            .iter()
-            .map(|s| IdColumns::from_pairs(s, algebra::DEFAULT_BLOCK))
-            .collect();
-        let col_refs: Vec<&IdColumns> = cols.iter().collect();
-        g.bench_function(BenchmarkId::new("linear", &w.name), |b| {
-            b.iter(|| twig_join(&pattern, &refs).len())
-        });
-        g.bench_function(BenchmarkId::new("skip", &w.name), |b| {
-            b.iter(|| twig_join_indexed(&pattern, &refs, &opts).len())
-        });
-        g.bench_function(BenchmarkId::new("columnar", &w.name), |b| {
-            b.iter(|| twig_join_columnar(&pattern, &col_refs).len())
-        });
+        let cols = pack_streams(&w.streams(&idx));
+        let refs: Vec<&IdColumns> = cols.iter().collect();
+        for (name, config) in [
+            ("linear", kernel_flags(false, false)),
+            ("skip", kernel_flags(true, false)),
+            ("columnar", EvalConfig::default()),
+        ] {
+            g.bench_function(BenchmarkId::new(name, &w.name), |b| {
+                b.iter(|| twig_join_columnar(&pattern, &refs, config).len())
+            });
+        }
     }
     g.finish();
 }
@@ -46,6 +37,6 @@ fn columnar_vs_scalar(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = columnar_vs_scalar
+    targets = kernel_flag_grid
 }
 criterion_main!(benches);

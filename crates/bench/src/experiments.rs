@@ -5,6 +5,7 @@
 
 use std::time::Instant;
 
+use algebra::{EvalConfig, IdColumns};
 use containment::{contain, CanonicalCache, ContainOptions};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -538,10 +539,10 @@ pub fn twig_workloads() -> Vec<TwigWorkload> {
 /// The E14 grid: every E10 workload plus high-fanout "wide" dense
 /// chains. The E10 shapes cap their leaf runs at 1–3 elements (each
 /// `text` holds exactly one `bold`/`emph`/`keyword`), which is where a
-/// batched append can only tie the scalar kernel; an `item` subtree
+/// bulk append can only tie the one-element step; an `item` subtree
 /// holds several `keyword`/`emph` descendants (description parlists
 /// plus mailbox texts) and `site` is a single always-open ancestor, so
-/// these chains give the columnar kernel real runs to retire in bulk.
+/// these chains give the kernel real runs to retire in bulk.
 pub fn vector_workloads() -> Vec<TwigWorkload> {
     let mut ws = twig_workloads();
     ws.push(chain("chain_depth2_wide", &["item", "keyword"]));
@@ -587,14 +588,44 @@ pub fn twig_catalog(doc: &xmltree::Document) -> algebra::Catalog {
     catalog
 }
 
+/// The executor config with the given `{seek, bulk}` kernel flags.
+pub fn kernel_flags(seek: bool, bulk: bool) -> EvalConfig {
+    EvalConfig {
+        use_skip_index: seek,
+        columnar_kernels: bulk,
+        ..EvalConfig::default()
+    }
+}
+
+/// Pack `(id, payload)` streams into the kernels' [`IdColumns`] layout
+/// at the default fence block size.
+pub fn pack_streams(streams: &[Vec<(xmltree::StructuralId, usize)>]) -> Vec<IdColumns> {
+    streams
+        .iter()
+        .map(|s| IdColumns::from_pairs(s, algebra::DEFAULT_BLOCK))
+        .collect()
+}
+
+/// The holistic twig kernel over `(id, payload)` streams under
+/// `config`'s kernel flags, packing each stream first — the per-query
+/// work the evaluator does.
+pub fn twig_kernel(
+    pattern: &algebra::TwigPattern,
+    streams: &[Vec<(xmltree::StructuralId, usize)>],
+    config: EvalConfig,
+) -> Vec<Vec<usize>> {
+    let cols = pack_streams(streams);
+    let refs: Vec<&IdColumns> = cols.iter().collect();
+    algebra::twig_join_columnar(pattern, &refs, config)
+}
+
 /// The binary-cascade physical operator, at the same level as
-/// [`algebra::twig_join`]: one [`stack_tree_pairs`] (or, with
-/// `stacktree = false`, [`nested_loop_pairs`]) per pattern edge, with
-/// the intermediate solution list materialized between steps and the
-/// join column re-sorted per step — exactly the work a binary-join
-/// engine performs, minus the (engine-neutral) tuple formatting.
+/// [`twig_kernel`]: one StackTree merge (or, with `stacktree = false`,
+/// [`nested_loop_pairs`]) per pattern edge, with the intermediate
+/// solution list materialized between steps and the join column
+/// re-sorted per step — exactly the work a binary-join engine performs,
+/// minus the (engine-neutral) tuple formatting.
 ///
-/// [`stack_tree_pairs`]: algebra::stacktree::stack_tree_pairs
 /// [`nested_loop_pairs`]: algebra::stacktree::nested_loop_pairs
 pub fn cascade_solutions(
     parents: &[usize],
@@ -602,7 +633,24 @@ pub fn cascade_solutions(
     streams: &[Vec<(xmltree::StructuralId, usize)>],
     stacktree: bool,
 ) -> Vec<Vec<usize>> {
-    use algebra::stacktree::{nested_loop_pairs, stack_tree_pairs};
+    let config = EvalConfig {
+        use_stacktree: stacktree,
+        ..EvalConfig::default()
+    };
+    cascade_solutions_with(parents, axes, streams, config)
+}
+
+/// [`cascade_solutions`] under an explicit executor config:
+/// `use_stacktree` picks the StackTree kernel (packing both sides of
+/// every step, as the evaluator does) or the nested loop, and the
+/// kernel reads its `{seek, bulk}` flags from the same config.
+pub fn cascade_solutions_with(
+    parents: &[usize],
+    axes: &[algebra::Axis],
+    streams: &[Vec<(xmltree::StructuralId, usize)>],
+    config: EvalConfig,
+) -> Vec<Vec<usize>> {
+    use algebra::stacktree::{nested_loop_pairs, stack_tree_pairs_columnar};
     let n = streams.len();
     let mut tuples: Vec<Vec<usize>> = streams[0].iter().map(|&(_, p)| vec![p]).collect();
     for k in 1..n {
@@ -612,9 +660,11 @@ pub fn cascade_solutions(
             .enumerate()
             .map(|(ti, t)| (streams[p][t[p]].0, ti))
             .collect();
-        let pairs = if stacktree {
+        let pairs = if config.use_stacktree {
             left.sort_unstable_by_key(|&(s, _)| s.pre);
-            stack_tree_pairs(&left, &streams[k], axes[k])
+            let lc = IdColumns::from_pairs(&left, algebra::DEFAULT_BLOCK);
+            let rc = IdColumns::from_pairs(&streams[k], algebra::DEFAULT_BLOCK);
+            stack_tree_pairs_columnar(&lc, &rc, axes[k], config)
         } else {
             nested_loop_pairs(&left, &streams[k], axes[k])
         };
@@ -662,20 +712,21 @@ fn median_ns(mut samples: Vec<u128>) -> u128 {
 /// Run every twig workload under the three physical operators —
 /// holistic TwigStack, binary StackTree cascade, naive nested-loop
 /// cascade — checking that all three (and the planner-fused logical
-/// plan) agree before timing them `reps` times each.
+/// plan) agree before timing them `reps` times each. Both kernels run
+/// under the default flags and pack their inputs inside the timed
+/// region, as the evaluator does.
 pub fn twig_ablation(doc: &xmltree::Document, reps: usize) -> Vec<TwigRow> {
-    use algebra::{twig_join, Evaluator};
+    use algebra::Evaluator;
     let idx = storage::IdStreamIndex::build(doc);
     let catalog = twig_catalog(doc);
+    let config = EvalConfig::default();
     let mut out = Vec::new();
     for w in twig_workloads() {
         let pattern = w.pattern();
         let streams = w.streams(&idx);
-        let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-            streams.iter().map(|s| s.as_slice()).collect();
         // correctness first: all three operators and the planner path
         // must agree on the solution set
-        let twig_sols = twig_join(&pattern, &refs);
+        let twig_sols = twig_kernel(&pattern, &streams, config);
         let mut stack_sols = cascade_solutions(&w.parents, &w.axes, &streams, true);
         stack_sols.sort_unstable();
         assert_eq!(twig_sols, stack_sols, "{}: twig vs StackTree", w.name);
@@ -696,7 +747,7 @@ pub fn twig_ablation(doc: &xmltree::Document, reps: usize) -> Vec<TwigRow> {
             }
             median_ns(samples)
         };
-        let twig_ns = time(&|| twig_join(&pattern, &refs).len());
+        let twig_ns = time(&|| twig_kernel(&pattern, &streams, config).len());
         let cascade_ns = time(&|| cascade_solutions(&w.parents, &w.axes, &streams, true).len());
         let nested_ns = time(&|| cascade_solutions(&w.parents, &w.axes, &streams, false).len());
         out.push(TwigRow {
@@ -852,17 +903,18 @@ pub fn pipeline_ablation(
 }
 
 // --------------------------------------------------------------------
-// E12 — skip-based twig joins: seek indexes × summary pruning
+// E12 — seeking twig joins × summary pruning
 
 /// One cell of the E12 access-method grid: the holistic twig kernel
-/// under one combination of the two knobs.
+/// with seeking on or off, over whole or summary-pruned streams.
 #[derive(Debug, Clone)]
 pub struct SkipCell {
+    /// The kernel's seek flag (`use_skip_index`).
     pub skip_index: bool,
     pub summary_pruning: bool,
-    /// Median wall-clock, ns. Pruned cells pay their partition merge
-    /// and indexed cells their skip-index build inside the timed
-    /// region — each access method must pay for its own setup.
+    /// Median wall-clock, ns. Every cell packs its streams inside the
+    /// timed region, and pruned cells also pay their partition merge —
+    /// each access path pays for its own setup.
     pub ns: u128,
     /// Counters of one metered run of the cell.
     pub elements_skipped: u64,
@@ -874,7 +926,7 @@ pub struct SkipCell {
 }
 
 /// One workload row of the E12 grid: the four twig cells plus the
-/// StackTree cascade with and without a descendant-side skip index.
+/// StackTree cascade with seeking off and on.
 #[derive(Debug, Clone)]
 pub struct SkipRow {
     pub name: String,
@@ -882,11 +934,12 @@ pub struct SkipRow {
     pub rows: usize,
     pub cells: Vec<SkipCell>,
     pub stacktree_ns: u128,
+    /// The cascade with its StackTree kernel seeking.
     pub stacktree_indexed_ns: u128,
 }
 
 impl SkipRow {
-    /// The cell for a knob combination.
+    /// The cell for a flag combination.
     pub fn cell(&self, skip_index: bool, summary_pruning: bool) -> &SkipCell {
         self.cells
             .iter()
@@ -894,8 +947,8 @@ impl SkipRow {
             .expect("grid carries all four cells")
     }
 
-    /// Wall-clock speedup of the fully-enabled cell over the plain
-    /// linear kernel (the PR 2 baseline).
+    /// Wall-clock speedup of the fully-enabled cell over the cell with
+    /// neither seeking nor pruning.
     pub fn speedup_full_vs_linear(&self) -> f64 {
         self.cell(false, false).ns as f64 / self.cell(true, true).ns.max(1) as f64
     }
@@ -920,13 +973,12 @@ fn matcher_axes(axes: &[algebra::Axis]) -> Vec<summary::PatternAxis> {
 }
 
 /// Run every twig workload through the holistic kernel under the full
-/// access-method grid — skip index on/off × summary pruning on/off —
-/// plus the StackTree cascade with and without a descendant-side index,
-/// checking that every cell reproduces the linear kernel's solutions
-/// (as structural IDs — pruned streams renumber positions) before
-/// timing `reps` times each.
+/// access-method grid — seeking on/off × summary pruning on/off, bulk
+/// runs on as the engine runs — plus the StackTree cascade with seeking
+/// off and on, checking that every cell reproduces the plain cell's
+/// solutions (as structural IDs — pruned streams renumber positions)
+/// before timing `reps` times each.
 pub fn skip_ablation(doc: &xmltree::Document, reps: usize) -> Vec<SkipRow> {
-    use algebra::{twig_join_indexed, twig_join_indexed_metered, SkipIndex};
     let idx = storage::IdStreamIndex::build(doc);
     let summary = Summary::of_document(doc);
     let pruned_idx = storage::IdStreamIndex::build_with_summary(doc, &summary);
@@ -938,13 +990,9 @@ pub fn skip_ablation(doc: &xmltree::Document, reps: usize) -> Vec<SkipRow> {
         let allowed =
             summary::compatible_nodes(&summary, &w.labels, &w.parents, &matcher_axes(&w.axes));
         // run-time stream preparation for the pruning-on cells, plus
-        // the (opened, total) partition figures it reports and the skip
-        // indexes each pruned stream carries (fence levels over exactly
-        // its ids — the composed cell seeks through these instead of
-        // rebuilding an index over the merged output)
+        // the (opened, total) partition figures it reports
         let prune = || {
             let mut streams = Vec::with_capacity(w.labels.len());
-            let mut skips = Vec::with_capacity(w.labels.len());
             let (mut opened, mut total) = (0usize, 0usize);
             for (q, l) in w.labels.iter().enumerate() {
                 let p = pruned_idx.pruned_stream(l, xmltree::NodeKind::Element, &allowed[q]);
@@ -957,9 +1005,8 @@ pub fn skip_ablation(doc: &xmltree::Document, reps: usize) -> Vec<SkipRow> {
                         .map(|(i, sid)| (sid, i))
                         .collect::<Vec<_>>(),
                 );
-                skips.push(p.skip);
             }
-            (streams, skips, opened, total)
+            (streams, opened, total)
         };
         // solutions as structural IDs: positions renumber under pruning
         let sids = |streams: &[Vec<(xmltree::StructuralId, usize)>], sols: &[Vec<usize>]| {
@@ -975,70 +1022,39 @@ pub fn skip_ablation(doc: &xmltree::Document, reps: usize) -> Vec<SkipRow> {
             v.sort_unstable();
             v
         };
-        let run_opts = |streams: &[Vec<(xmltree::StructuralId, usize)>],
-                        opts: &[Option<&SkipIndex>],
-                        meter: Option<&mut obs::ExecMetrics>| {
-            let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-                streams.iter().map(|s| s.as_slice()).collect();
-            match meter {
-                Some(m) => twig_join_indexed_metered(&pattern, &refs, opts, m),
-                None => twig_join_indexed(&pattern, &refs, opts),
-            }
-        };
-        let run = |streams: &[Vec<(xmltree::StructuralId, usize)>],
-                   skip: bool,
-                   meter: Option<&mut obs::ExecMetrics>| {
-            let built: Vec<SkipIndex> = if skip {
-                streams.iter().map(|s| SkipIndex::build(s)).collect()
-            } else {
-                Vec::new()
-            };
-            let opts: Vec<Option<&SkipIndex>> = if skip {
-                built.iter().map(Some).collect()
-            } else {
-                vec![None; streams.len()]
-            };
-            run_opts(streams, &opts, meter)
-        };
-        let oracle = sids(&full_streams, &run(&full_streams, false, None));
-        let (pruned_streams, pruned_skips, opened, total) = prune();
+        let oracle = sids(
+            &full_streams,
+            &twig_kernel(&pattern, &full_streams, kernel_flags(false, true)),
+        );
+        let (pruned_streams, opened, total) = prune();
         let mut cells = Vec::new();
         for (skip, pruning) in [(false, false), (true, false), (false, true), (true, true)] {
+            let config = kernel_flags(skip, true);
             let streams = if pruning {
                 &pruned_streams
             } else {
                 &full_streams
             };
-            // correctness first, collecting the cell's counters (the
-            // composed cell seeks through the streams' carried fences)
+            // correctness first, collecting the cell's counters
             let mut m = obs::ExecMetrics::default();
-            let sols = if skip && pruning {
-                let opts: Vec<Option<&SkipIndex>> = pruned_skips.iter().map(Some).collect();
-                run_opts(streams, &opts, Some(&mut m))
-            } else {
-                run(streams, skip, Some(&mut m))
-            };
+            let cols = pack_streams(streams);
+            let refs: Vec<&IdColumns> = cols.iter().collect();
+            let sols = algebra::twig_join_columnar_metered(&pattern, &refs, config, &mut m);
             assert_eq!(
                 sids(streams, &sols),
                 oracle,
-                "{}: skip={skip} pruning={pruning} vs linear kernel",
+                "{}: skip={skip} pruning={pruning} vs plain cell",
                 w.name
             );
             // then time the cell end to end: pruned cells re-merge
-            // their partitions, indexed cells rebuild their indexes
+            // their partitions, every cell packs its streams
             let mut samples = Vec::with_capacity(reps.max(1));
             for _ in 0..reps.max(1) {
                 let t0 = Instant::now();
                 let n = if pruning {
-                    let (streams, skips, _, _) = prune();
-                    if skip {
-                        let opts: Vec<Option<&SkipIndex>> = skips.iter().map(Some).collect();
-                        run_opts(&streams, &opts, None).len()
-                    } else {
-                        run(&streams, false, None).len()
-                    }
+                    twig_kernel(&pattern, &prune().0, config).len()
                 } else {
-                    run(&full_streams, skip, None).len()
+                    twig_kernel(&pattern, &full_streams, config).len()
                 };
                 samples.push(t0.elapsed().as_nanos());
                 assert_eq!(n, oracle.len());
@@ -1054,14 +1070,20 @@ pub fn skip_ablation(doc: &xmltree::Document, reps: usize) -> Vec<SkipRow> {
                 stream_elements: streams.iter().map(|s| s.len()).sum(),
             });
         }
-        // the binary cascade, with and without a descendant-side index
-        let time_cascade = |indexed: bool| {
+        // the binary cascade, with seeking off and on
+        let time_cascade = |seek: bool| {
             let mut samples = Vec::with_capacity(reps.max(1));
             for _ in 0..reps.max(1) {
                 let t0 = Instant::now();
-                let n = cascade_solutions_with(&w.parents, &w.axes, &full_streams, indexed).len();
+                let n = cascade_solutions_with(
+                    &w.parents,
+                    &w.axes,
+                    &full_streams,
+                    kernel_flags(seek, true),
+                )
+                .len();
                 samples.push(t0.elapsed().as_nanos());
-                assert_eq!(n, oracle.len(), "{}: cascade indexed={indexed}", w.name);
+                assert_eq!(n, oracle.len(), "{}: cascade seek={seek}", w.name);
             }
             median_ns(samples)
         };
@@ -1078,137 +1100,87 @@ pub fn skip_ablation(doc: &xmltree::Document, reps: usize) -> Vec<SkipRow> {
     out
 }
 
-/// [`cascade_solutions`] over StackTree, optionally handing each step a
-/// skip index over its descendant stream (built inside — a cascade
-/// cannot reuse stored indexes for its re-sorted intermediates, but the
-/// descendant side is always a base stream).
-pub fn cascade_solutions_with(
-    parents: &[usize],
-    axes: &[algebra::Axis],
-    streams: &[Vec<(xmltree::StructuralId, usize)>],
-    indexed: bool,
-) -> Vec<Vec<usize>> {
-    use algebra::stacktree::stack_tree_pairs_indexed;
-    use algebra::SkipIndex;
-    let n = streams.len();
-    let indexes: Vec<Option<SkipIndex>> = (0..n)
-        .map(|k| (indexed && k > 0).then(|| SkipIndex::build(&streams[k])))
-        .collect();
-    let mut tuples: Vec<Vec<usize>> = streams[0].iter().map(|&(_, p)| vec![p]).collect();
-    for k in 1..n {
-        let p = parents[k];
-        let mut left: Vec<(xmltree::StructuralId, usize)> = tuples
-            .iter()
-            .enumerate()
-            .map(|(ti, t)| (streams[p][t[p]].0, ti))
-            .collect();
-        left.sort_unstable_by_key(|&(s, _)| s.pre);
-        let pairs = stack_tree_pairs_indexed(&left, &streams[k], axes[k], indexes[k].as_ref());
-        tuples = pairs
-            .into_iter()
-            .map(|(ti, di)| {
-                let mut t = tuples[ti].clone();
-                t.push(di);
-                t
-            })
-            .collect();
-    }
-    tuples
-}
-
 // --------------------------------------------------------------------
 // E14 — columnar kernels: dense-parity grid
 
-/// One measured row of the E14 vectorized-kernel grid: the holistic
-/// twig join timed under three access paths over identical streams —
-/// scalar linear (no seeks), scalar with XB-tree skip indexes, and the
-/// columnar kernel over packed pre/post/depth columns.
+/// One measured row of the E14 kernel-flag grid: the holistic twig
+/// kernel timed under three flag settings over identical packed
+/// streams — neither seeking nor bulk runs (linear), seeking alone, and
+/// both (the engine default).
 #[derive(Debug, Clone)]
 pub struct VectorRow {
     pub name: String,
-    /// Output cardinality (identical across all three paths).
+    /// Output cardinality (identical across all three settings).
     pub rows: usize,
     /// Member of the dense grid (plain chains and child fans): the
-    /// workloads where seeking cannot discard much, so lane-wide
-    /// batching has to carry the win on its own.
+    /// workloads where seeking cannot discard much, so bulk runs have
+    /// to carry the win on their own.
     pub dense: bool,
     /// Total elements across the workload's input streams.
     pub stream_elements: usize,
-    /// Median wall-clock per access path, nanoseconds. Access
-    /// structures (skip indexes, packed columns) are prebuilt outside
-    /// the timed region — the store carries both, so steady-state
-    /// serving never rebuilds them per query.
+    /// Median wall-clock per flag setting, nanoseconds. The packed
+    /// columns are built outside the timed region — the store carries
+    /// them, so steady-state serving never rebuilds them per query.
     pub linear_ns: u128,
     pub skip_ns: u128,
     pub columnar_ns: u128,
-    /// Columnar-kernel counters from a metered correctness pass.
+    /// Default-flag counters from a metered correctness pass.
     pub batches_scanned: u64,
     pub vector_compares: u64,
     pub elements_skipped: u64,
 }
 
 impl VectorRow {
-    /// Columnar speedup over the scalar linear sweep.
+    /// Default-flag speedup over the linear setting.
     pub fn speedup_vs_linear(&self) -> f64 {
         self.linear_ns as f64 / self.columnar_ns.max(1) as f64
     }
 
-    /// Columnar speedup over the scalar skip-indexed path.
+    /// Default-flag speedup over seeking alone.
     pub fn speedup_vs_skip(&self) -> f64 {
         self.skip_ns as f64 / self.columnar_ns.max(1) as f64
     }
 
-    /// Skip-indexed speedup over the linear sweep (context column).
+    /// Seeking-alone speedup over the linear setting (context column).
     pub fn skip_vs_linear(&self) -> f64 {
         self.linear_ns as f64 / self.skip_ns.max(1) as f64
     }
 }
 
 /// Run every twig workload through the holistic kernel under the three
-/// access paths of [`VectorRow`], checking that all three produce
+/// flag settings of [`VectorRow`], checking that all three produce
 /// identical solutions before timing `reps` times each.
 pub fn vector_parity(doc: &xmltree::Document, reps: usize) -> Vec<VectorRow> {
-    use algebra::{
-        twig_join, twig_join_columnar_metered, twig_join_indexed, IdColumns, SkipIndex,
-        DEFAULT_BLOCK,
-    };
     let idx = storage::IdStreamIndex::build(doc);
+    let settings = [
+        kernel_flags(false, false),
+        kernel_flags(true, false),
+        EvalConfig::default(),
+    ];
     let mut out = Vec::new();
     for w in vector_workloads() {
         let pattern = w.pattern();
         let streams = w.streams(&idx);
-        let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-            streams.iter().map(|s| s.as_slice()).collect();
-        // prebuilt access structures, exactly as the store serves them
-        let skips: Vec<SkipIndex> = streams.iter().map(|s| SkipIndex::build(s)).collect();
-        let opts: Vec<Option<&SkipIndex>> = skips.iter().map(Some).collect();
-        let cols: Vec<IdColumns> = streams
-            .iter()
-            .map(|s| IdColumns::from_pairs(s, DEFAULT_BLOCK))
-            .collect();
-        let col_refs: Vec<&IdColumns> = cols.iter().collect();
+        // prebuilt packed columns, exactly as the store serves them
+        let cols = pack_streams(&streams);
+        let refs: Vec<&IdColumns> = cols.iter().collect();
 
-        // correctness first, collecting the columnar kernel's counters
-        let linear = twig_join(&pattern, &refs);
-        let skip_sols = twig_join_indexed(&pattern, &refs, &opts);
+        // correctness first, collecting the default setting's counters
+        let linear = algebra::twig_join_columnar(&pattern, &refs, settings[0]);
+        let skip_sols = algebra::twig_join_columnar(&pattern, &refs, settings[1]);
         let mut m = obs::ExecMetrics::default();
-        let col_sols = twig_join_columnar_metered(&pattern, &col_refs, &mut m);
-        assert_eq!(skip_sols, linear, "{}: skip path vs linear", w.name);
-        assert_eq!(col_sols, linear, "{}: columnar path vs linear", w.name);
+        let col_sols = algebra::twig_join_columnar_metered(&pattern, &refs, settings[2], &mut m);
+        assert_eq!(skip_sols, linear, "{}: seeking vs linear", w.name);
+        assert_eq!(col_sols, linear, "{}: default flags vs linear", w.name);
 
-        // interleave the three paths rep-by-rep so clock drift and
+        // interleave the three settings rep-by-rep so clock drift and
         // scheduler interference land on all of them equally instead of
-        // skewing whichever path ran its block last
-        let paths: [&dyn Fn() -> usize; 3] = [
-            &|| twig_join(&pattern, &refs).len(),
-            &|| twig_join_indexed(&pattern, &refs, &opts).len(),
-            &|| algebra::twig_join_columnar(&pattern, &col_refs).len(),
-        ];
+        // skewing whichever setting ran its block last
         let mut samples: [Vec<u128>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         for _ in 0..reps.max(1) {
-            for (path, out) in paths.iter().zip(samples.iter_mut()) {
+            for (&config, out) in settings.iter().zip(samples.iter_mut()) {
                 let t0 = Instant::now();
-                let n = path();
+                let n = algebra::twig_join_columnar(&pattern, &refs, config).len();
                 out.push(t0.elapsed().as_nanos());
                 assert_eq!(n, linear.len());
             }
@@ -1365,7 +1337,7 @@ mod tests {
             assert_eq!(r.cells.len(), 4);
             assert_eq!(r.cell(false, false).elements_skipped, 0, "{}", r.name);
         }
-        // the selective twig is the one the index must engage on
+        // the selective twig is the one seeking must engage on
         let sel = rows.iter().find(|r| r.name == "chain_selective4").unwrap();
         let skipped = sel
             .cells
@@ -1374,7 +1346,7 @@ mod tests {
             .map(|c| c.elements_skipped)
             .max()
             .unwrap();
-        assert!(skipped > 0, "skip index never engaged: {sel:?}");
+        assert!(skipped > 0, "seeking never engaged: {sel:?}");
         // summary pruning must open fewer partitions than exist
         let pruned = sel.cell(false, true);
         assert!(

@@ -18,49 +18,12 @@
 //! data stays deterministic and byte-identical to the feedback-free
 //! model.
 
-use algebra::{Catalog, JoinKind, LogicalPlan};
+use algebra::{Catalog, EvalConfig, JoinKind, LogicalPlan};
 use obs::StatsStore;
 
-/// What the executor will actually have available when a plan runs. The
-/// cost model must never prefer a plan on the strength of a disabled
-/// access method, so the pipeline derives this from `EngineConfig` and
-/// passes it to every estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecCaps {
-    /// XB-tree skip indexes are available (`use_skip_index`): twig merges
-    /// may assume fence-guided seeking over non-joinable runs.
-    pub seekable: bool,
-    /// Columnar pre/post/depth kernels are available (`columnar_kernels`):
-    /// merges advance in lane-wide batches, and the packed pre column is
-    /// seekable by construction even without an XB-tree.
-    pub columnar: bool,
-}
-
-impl ExecCaps {
-    pub fn new(seekable: bool, columnar: bool) -> Self {
-        Self { seekable, columnar }
-    }
-
-    /// Caps for a scalar executor with every access method off. Used by
-    /// tests and as the conservative floor.
-    pub fn scalar() -> Self {
-        Self {
-            seekable: false,
-            columnar: false,
-        }
-    }
-
-    /// Whether twig merges may price in seeking: either an explicit
-    /// XB-tree, or the columnar layout whose sorted pre column supports
-    /// galloped seeks with no extra structure.
-    fn can_seek(self) -> bool {
-        self.seekable || self.columnar
-    }
-}
-
-/// Batched columnar sweeps retire compares lane-at-a-time with no
-/// data-dependent branches; the measured per-element constant on dense
-/// merges sits well under the scalar loop's. The discount is deliberately
+/// Bulk runs retire compares lane-at-a-time with no data-dependent
+/// branches; the measured per-element constant on dense merges sits
+/// well under the one-element-per-step loop's. The discount is deliberately
 /// modest so the planner never picks a larger plan purely on kernel
 /// width.
 const COLUMNAR_SWEEP_DISCOUNT: f64 = 0.5;
@@ -136,12 +99,13 @@ struct FeedbackContext<'a> {
 }
 
 /// The cost model: a catalog of materialized relation sizes, the
-/// executor's access-method capabilities, and (optionally) the
+/// [`EvalConfig`] the executor will run with, and (optionally) the
 /// cardinality feedback recorded by profiled runs.
 ///
-/// Unknown relations count as size 1000. `caps` says which access
-/// methods the executor will actually have (see [`ExecCaps`]); only then
-/// may twig costs assume seeking or batched sweeps. Without feedback
+/// Unknown relations count as size 1000. Twig costs assume seeking only
+/// when `use_skip_index` is on and bulk sweeps only when
+/// `columnar_kernels` is on — the cost model must never prefer a plan on
+/// the strength of a kernel path the executor will not take. Without feedback
 /// ([`CostModel::new`]) the arithmetic is exactly the historical static
 /// model; [`CostModel::with_feedback`] keys the store lookup by the
 /// `(document version, plan fingerprint)` the observations were recorded
@@ -150,16 +114,16 @@ struct FeedbackContext<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel<'a> {
     catalog: &'a Catalog,
-    caps: ExecCaps,
+    eval: EvalConfig,
     feedback: Option<FeedbackContext<'a>>,
 }
 
 impl<'a> CostModel<'a> {
     /// A feedback-free model: pure catalog estimates.
-    pub fn new(catalog: &'a Catalog, caps: ExecCaps) -> CostModel<'a> {
+    pub fn new(catalog: &'a Catalog, eval: EvalConfig) -> CostModel<'a> {
         CostModel {
             catalog,
-            caps,
+            eval,
             feedback: None,
         }
     }
@@ -308,27 +272,25 @@ impl<'a> CostModel<'a> {
                     out = rs.max(out * 0.5);
                 }
                 let log = total_rows.log2().max(1.0);
-                // Columnar kernels batch the sweep: lane-wide branch-free
-                // compares retire elements at a fraction of the scalar
-                // per-element constant, which matters exactly in the dense
-                // case where seeking cannot help.
-                let sweep_factor = if self.caps.columnar {
+                // Bulk runs batch the sweep: lane-wide branch-free compares
+                // retire elements at a fraction of the per-step constant,
+                // which matters exactly in the dense case where seeking
+                // cannot help.
+                let sweep_factor = if self.eval.columnar_kernels {
                     COLUMNAR_SWEEP_DISCOUNT
                 } else {
                     1.0
                 };
                 let linear_merge = total_rows * log * sweep_factor;
-                let merge = if self.caps.can_seek() {
-                    // Skip-aware selectivity: with XB-tree seek indexes (or
-                    // the columnar pre column, seekable by construction) the
-                    // merge touches roughly the most selective stream plus
-                    // the output — everything else is seeked over at a
-                    // fence-descent (log) charge per touched element and
-                    // stream. On skewed twigs this term undercuts the linear
-                    // sweep, which is exactly when the twig-vs-cascade arm
-                    // should prefer seeking. With both access methods off
-                    // the kernel really does the full scalar sweep, so the
-                    // discount must not apply.
+                let merge = if self.eval.use_skip_index {
+                    // Skip-aware selectivity: a seeking kernel touches
+                    // roughly the most selective stream plus the output —
+                    // everything else is galloped over at a log charge per
+                    // touched element and stream. On skewed twigs this
+                    // term undercuts the linear sweep, which is exactly
+                    // when the twig-vs-cascade arm should prefer seeking.
+                    // With seeking off the kernel really does the full
+                    // sweep, so the discount must not apply.
                     let seek_merge = (min_rows + out) * log * (steps.len() as f64 + 1.0);
                     linear_merge.min(seek_merge)
                 } else {
@@ -383,36 +345,27 @@ impl<'a> CostModel<'a> {
     }
 }
 
-/// Estimated (cost, output-rows) of a plan over a catalog of materialized
-/// relations.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `CostModel::new(catalog, caps).estimate(plan)` (optionally `.with_feedback(..)`)"
-)]
-pub fn estimate(plan: &LogicalPlan, catalog: &Catalog, caps: ExecCaps) -> (f64, f64) {
-    let e = CostModel::new(catalog, caps).estimate(plan);
-    (e.cost, e.rows)
-}
-
-/// The scalar plan cost used for ranking.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `CostModel::new(catalog, caps).cost(plan)` (optionally `.with_feedback(..)`)"
-)]
-pub fn plan_cost(plan: &LogicalPlan, catalog: &Catalog, caps: ExecCaps) -> f64 {
-    CostModel::new(catalog, caps).cost(plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use algebra::{Relation, Schema, Tuple, Value};
     use obs::{ExecMetrics, PlanNodeProfile, QueryProfile};
 
-    const ALL: ExecCaps = ExecCaps {
-        seekable: true,
-        columnar: true,
+    const ALL: EvalConfig = EvalConfig {
+        use_stacktree: true,
+        use_twigstack: true,
+        use_skip_index: true,
+        columnar_kernels: true,
     };
+
+    /// The executor config with the given `{seek, bulk}` kernel flags.
+    fn flags(seek: bool, bulk: bool) -> EvalConfig {
+        EvalConfig {
+            use_skip_index: seek,
+            columnar_kernels: bulk,
+            ..ALL
+        }
+    }
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -429,12 +382,12 @@ mod tests {
         c
     }
 
-    fn plan_cost(plan: &LogicalPlan, c: &Catalog, caps: ExecCaps) -> f64 {
-        CostModel::new(c, caps).cost(plan)
+    fn plan_cost(plan: &LogicalPlan, c: &Catalog, eval: EvalConfig) -> f64 {
+        CostModel::new(c, eval).cost(plan)
     }
 
-    fn rows_of(plan: &LogicalPlan, c: &Catalog, caps: ExecCaps) -> f64 {
-        CostModel::new(c, caps).estimate(plan).rows
+    fn rows_of(plan: &LogicalPlan, c: &Catalog, eval: EvalConfig) -> f64 {
+        CostModel::new(c, eval).estimate(plan).rows
     }
 
     /// A profile tree mirroring `plan`'s shape where every node reports
@@ -516,14 +469,14 @@ mod tests {
         let cascade = chain(false);
         let twig = chain(true);
         assert!(matches!(twig, LogicalPlan::TwigJoin { .. }));
-        for seekable in [true, false] {
-            for columnar in [true, false] {
-                let caps = ExecCaps::new(seekable, columnar);
+        for seek in [true, false] {
+            for bulk in [true, false] {
+                let eval = flags(seek, bulk);
                 assert!(
-                    plan_cost(&twig, &c, caps) < plan_cost(&cascade, &c, caps),
-                    "{caps:?}: twig {} vs cascade {}",
-                    plan_cost(&twig, &c, caps),
-                    plan_cost(&cascade, &c, caps)
+                    plan_cost(&twig, &c, eval) < plan_cost(&cascade, &c, eval),
+                    "seek={seek} bulk={bulk}: twig {} vs cascade {}",
+                    plan_cost(&twig, &c, eval),
+                    plan_cost(&cascade, &c, eval)
                 );
             }
         }
@@ -564,8 +517,8 @@ mod tests {
     #[test]
     fn seek_discount_gated_on_skip_index_knob() {
         // a selective twig gets the seek_merge discount only when the
-        // executor will actually have skip indexes; with the knob off
-        // the estimate must charge the full linear merge sweep
+        // executor's kernel will actually seek; with the knob off the
+        // estimate must charge the full linear merge sweep
         let c = catalog();
         let plan = LogicalPlan::scan("big")
             .rename(&["a"])
@@ -585,23 +538,22 @@ mod tests {
             );
         let twig = algebra::fuse_struct_joins(&plan);
         assert!(matches!(twig, LogicalPlan::TwigJoin { .. }));
-        let seekable = plan_cost(&twig, &c, ExecCaps::new(true, false));
-        let linear = plan_cost(&twig, &c, ExecCaps::scalar());
+        let seekable = plan_cost(&twig, &c, flags(true, false));
+        let linear = plan_cost(&twig, &c, flags(false, false));
         assert!(
             seekable < linear,
             "discount must vanish with seeks off: {seekable} vs {linear}"
         );
-        // the columnar pre column is seekable by construction, so the
-        // seek discount survives use_skip_index being off
-        let columnar_only = plan_cost(&twig, &c, ExecCaps::new(false, true));
+        // bulk runs do not make the kernel seek: with seeking off the
+        // estimate never drops below the (bulk-discounted) linear sweep
         assert!(
-            columnar_only < linear,
-            "columnar caps must keep the seek discount: {columnar_only} vs {linear}"
+            plan_cost(&twig, &c, flags(true, true)) <= plan_cost(&twig, &c, flags(false, true)),
+            "seeking must never raise the estimate"
         );
-        // non-twig plans are priced identically under every cap set
+        // non-twig plans are priced identically under every flag set
         assert_eq!(
             plan_cost(&plan, &c, ALL),
-            plan_cost(&plan, &c, ExecCaps::scalar()),
+            plan_cost(&plan, &c, flags(false, false)),
             "cascade cost must not depend on the knobs"
         );
     }
@@ -632,7 +584,7 @@ mod tests {
     fn columnar_discounts_the_dense_sweep() {
         // a uniform (dense) twig gets no help from seeking — the merge
         // touches everything — but the batched columnar sweep still
-        // undercuts the scalar one
+        // undercuts the one-element-per-step one
         let c = catalog();
         let mut plan = LogicalPlan::scan("big").rename(&["a"]);
         for (i, col) in ["b", "c"].iter().enumerate() {
@@ -646,28 +598,12 @@ mod tests {
         }
         let twig = algebra::fuse_struct_joins(&plan);
         assert!(matches!(twig, LogicalPlan::TwigJoin { .. }));
-        let scalar = plan_cost(&twig, &c, ExecCaps::scalar());
-        let columnar = plan_cost(&twig, &c, ExecCaps::new(false, true));
+        let scalar = plan_cost(&twig, &c, flags(false, false));
+        let columnar = plan_cost(&twig, &c, flags(false, true));
         assert!(
             columnar < scalar,
             "dense twig must get the batched-sweep discount: {columnar} vs {scalar}"
         );
-    }
-
-    #[test]
-    fn deprecated_shims_match_the_model() {
-        let c = catalog();
-        let plan = LogicalPlan::scan("big").select(algebra::Predicate::True);
-        #[allow(deprecated)]
-        let (shim_cost, shim_rows) = super::estimate(&plan, &c, ALL);
-        let e = CostModel::new(&c, ALL).estimate(&plan);
-        assert_eq!(shim_cost, e.cost);
-        assert_eq!(shim_rows, e.rows);
-        #[allow(deprecated)]
-        let shim_pc = super::plan_cost(&plan, &c, ALL);
-        assert_eq!(shim_pc, e.cost);
-        assert_eq!(e.source, EstimateSource::Catalog);
-        assert_eq!(e.confidence, 0.0);
     }
 
     #[test]
@@ -679,6 +615,8 @@ mod tests {
 
         // catalog says Select outputs 10_000 * 0.33; the runs measure 10
         let catalog_est = CostModel::new(&c, ALL).estimate(&plan);
+        assert_eq!(catalog_est.source, EstimateSource::Catalog);
+        assert_eq!(catalog_est.confidence, 0.0);
         stats.record_profile(7, fp, &query_profile(uniform_profile(&plan, 10)));
         let one = CostModel::new(&c, ALL)
             .with_feedback(&stats, 7, fp)

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use algebra::{CursorConfig, Evaluator, LogicalPlan, Relation, StreamExec, TupleBatch};
+use algebra::{CursorConfig, EvalConfig, Evaluator, LogicalPlan, Relation, StreamExec, TupleBatch};
 use containment::{CacheStats, CanonicalCache};
 use obs::{
     ArmTelemetry, CacheCounters, OpProfile, OpStreamProfile, PlanNodeProfile, QueryProfile,
@@ -32,14 +32,6 @@ use xmltree::Document;
 
 use crate::cost::{CostModel, EstimateNode};
 use crate::rewrite::{rewrite_with_engine, EngineOptions, RewriteConfig, Rewriting};
-
-/// Former error type of the pipeline; the engine now reports through the
-/// unified [`uload_error::Error`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `uload_error::Error` (re-exported as `uload::Error`)"
-)]
-pub type UloadError = Error;
 
 /// Engine-wide execution knobs, threaded through [`Uload`] to every
 /// containment and rewriting call.
@@ -91,21 +83,14 @@ pub struct EngineConfig {
     /// emit smaller batches (filters) or larger ones (joins, `Unnest`);
     /// this only sets the granularity at which base scans chunk.
     pub batch_size: usize,
-    /// Build XB-tree skip indexes over join input streams so the
-    /// structural-join kernels seek over prunable regions instead of
-    /// scanning them (`false` = linear advance, for the ablation).
+    /// Let the structural-join kernels seek over prunable regions
+    /// instead of stepping through them (`false` = linear advance, for
+    /// the ablation). Forwarded as [`EvalConfig::use_skip_index`].
     pub use_skip_index: bool,
-    /// Partition document ID streams by summary path
-    /// ([`storage::IdStreamIndex::build_with_summary`]) so pattern scans
-    /// open only summary-compatible partitions (`false` = whole-column
-    /// streams, for the ablation).
-    pub use_summary_pruning: bool,
-    /// Run the structural-join kernels over the packed pre/post/depth
-    /// columns (`storage`'s structure-of-arrays layout) with lane-wide
-    /// batched advance loops. The packed pre column is seekable by
-    /// construction, so this subsumes `use_skip_index` when both are on.
-    /// Off, the kernels take the scalar element-at-a-time paths (for the
-    /// ablation).
+    /// Let the structural-join kernels retire runs in bulk, counted a
+    /// block at a time over the packed pre/post columns (`false` = one
+    /// element per step, for the ablation). Forwarded as
+    /// [`EvalConfig::columnar_kernels`].
     pub columnar_kernels: bool,
     /// The rewriting search bounds (§5.3's generate-and-test knobs).
     pub rewrite: RewriteConfig,
@@ -120,7 +105,6 @@ impl Default for EngineConfig {
             profiling: false,
             batch_size: 1024,
             use_skip_index: true,
-            use_summary_pruning: true,
             columnar_kernels: true,
             rewrite: RewriteConfig::default(),
         }
@@ -158,19 +142,13 @@ impl EngineConfig {
         self
     }
 
-    /// Toggle skip-index (XB-tree) seeks in the join kernels.
+    /// Toggle seeking in the join kernels.
     pub fn with_skip_index(mut self, on: bool) -> Self {
         self.use_skip_index = on;
         self
     }
 
-    /// Toggle summary-path partitioning of document ID streams.
-    pub fn with_summary_pruning(mut self, on: bool) -> Self {
-        self.use_summary_pruning = on;
-        self
-    }
-
-    /// Toggle the columnar (structure-of-arrays) join kernels.
+    /// Toggle bulk runs in the join kernels.
     pub fn with_columnar_kernels(mut self, on: bool) -> Self {
         self.columnar_kernels = on;
         self
@@ -182,10 +160,16 @@ impl EngineConfig {
         self
     }
 
-    /// The access-method capabilities this configuration grants the
-    /// executor, as the cost model wants them.
-    pub fn exec_caps(&self) -> crate::cost::ExecCaps {
-        crate::cost::ExecCaps::new(self.use_skip_index, self.columnar_kernels)
+    /// The executor configuration a plan runs with: this engine's kernel
+    /// flags plus the plan's twig arm. Every evaluator, cursor tree and
+    /// cost model the engine builds takes its flags from here.
+    pub fn eval_config(&self, use_twigstack: bool) -> EvalConfig {
+        EvalConfig {
+            use_twigstack,
+            use_skip_index: self.use_skip_index,
+            columnar_kernels: self.columnar_kernels,
+            ..EvalConfig::default()
+        }
     }
 
     /// Sanity-check the knobs (the builder calls this).
@@ -254,19 +238,13 @@ impl<'d> UloadBuilder<'d> {
         self
     }
 
-    /// Toggle skip-index (XB-tree) seeks in the join kernels.
+    /// Toggle seeking in the join kernels.
     pub fn use_skip_index(mut self, on: bool) -> Self {
         self.config.use_skip_index = on;
         self
     }
 
-    /// Toggle summary-path partitioning of document ID streams.
-    pub fn use_summary_pruning(mut self, on: bool) -> Self {
-        self.config.use_summary_pruning = on;
-        self
-    }
-
-    /// Toggle the columnar (structure-of-arrays) join kernels.
+    /// Toggle bulk runs in the join kernels.
     pub fn columnar_kernels(mut self, on: bool) -> Self {
         self.config.columnar_kernels = on;
         self
@@ -345,20 +323,12 @@ impl Uload {
         &self.store
     }
 
-    /// Build the columnar ID-stream access module for `doc` under the
-    /// engine's physical-design knobs: with
-    /// [`EngineConfig::use_summary_pruning`] on, every column is
-    /// partitioned by the engine's summary so pattern scans can open
-    /// only summary-compatible partitions
-    /// ([`storage::IdStreamIndex::pruned_stream`]); off, plain
-    /// whole-column streams. Either way the streams answer the same
-    /// queries — the knob changes the access path, not the results.
+    /// Build the columnar ID-stream access module for `doc`, every
+    /// column partitioned by the engine's summary so pattern scans can
+    /// open only summary-compatible partitions
+    /// ([`storage::IdStreamIndex::pruned_stream`]).
     pub fn id_stream_index(&self, doc: &Document) -> storage::IdStreamIndex {
-        if self.config.use_summary_pruning {
-            storage::IdStreamIndex::build_with_summary(doc, &self.summary)
-        } else {
-            storage::IdStreamIndex::build(doc)
-        }
+        storage::IdStreamIndex::build_with_summary(doc, &self.summary)
     }
 
     /// Effectiveness counters of the shared cache (`None` when caching
@@ -418,7 +388,7 @@ impl Uload {
         // candidate ranking stays catalog-only (no feedback): the chosen
         // rewriting must not depend on what happened to run before, so
         // the same view set always yields the same plan
-        let model = CostModel::new(self.store.catalog(), self.config.exec_caps());
+        let model = self.catalog_cost_model();
         rws.sort_by(|a, b| {
             let ca = model.cost(&a.plan);
             let cb = model.cost(&b.plan);
@@ -664,14 +634,20 @@ impl Uload {
         }
     }
 
+    /// The catalog-only cost model over this engine's views, pricing
+    /// the kernel flags plans will run with.
+    fn catalog_cost_model(&self) -> CostModel<'_> {
+        CostModel::new(
+            self.store.catalog(),
+            self.config.eval_config(self.config.use_twigstack),
+        )
+    }
+
     /// The feedback-aware cost model for plans keyed by
     /// `(doc_version, plan_fp)` in the stats store.
     fn cost_model(&self, doc_version: u64, plan_fp: u64) -> CostModel<'_> {
-        CostModel::new(self.store.catalog(), self.config.exec_caps()).with_feedback(
-            &self.stats,
-            doc_version,
-            plan_fp,
-        )
+        self.catalog_cost_model()
+            .with_feedback(&self.stats, doc_version, plan_fp)
     }
 
     /// Build the mid-query arm-switch hint for a streamed twig plan.
@@ -764,9 +740,7 @@ impl Uload {
     /// prepare time; only the per-call document is supplied here.
     pub fn answer_prepared(&self, prep: &PreparedQuery, doc: &Document) -> Result<Vec<String>> {
         let mut ev = Evaluator::with_document(self.store.catalog(), doc);
-        ev.config.use_skip_index = self.config.use_skip_index;
-        ev.config.columnar_kernels = self.config.columnar_kernels;
-        ev.config.use_twigstack = prep.use_twigstack;
+        ev.config = self.config.eval_config(prep.use_twigstack);
         let rel = ev
             .eval(&prep.plan)
             .map_err(|e| Error::Eval(e.to_string()))?;
@@ -840,11 +814,9 @@ impl Uload {
         let mut ccfg = CursorConfig {
             batch_size: self.config.batch_size,
             profiling,
+            eval: self.config.eval_config(prep.use_twigstack),
             ..CursorConfig::default()
         };
-        ccfg.eval.use_skip_index = self.config.use_skip_index;
-        ccfg.eval.columnar_kernels = self.config.columnar_kernels;
-        ccfg.eval.use_twigstack = prep.use_twigstack;
         ccfg.arm_hint = self.arm_hint(prep, doc_version);
         if !prep.breakers.is_empty() {
             tracing::debug!(
@@ -914,9 +886,7 @@ impl Uload {
         };
         let evaluator = |twig_on: bool| {
             let mut ev = Evaluator::with_document(catalog, doc);
-            ev.config.use_twigstack = twig_on;
-            ev.config.use_skip_index = self.config.use_skip_index;
-            ev.config.columnar_kernels = self.config.columnar_kernels;
+            ev.config = self.config.eval_config(twig_on);
             ev
         };
 
@@ -978,14 +948,12 @@ impl Uload {
         // profile also reports per-operator batches, rows and the
         // pipelined executor's peak-resident-tuples high-water mark
         let streamed = {
-            let mut ccfg = CursorConfig {
+            let ccfg = CursorConfig {
                 batch_size: self.config.batch_size,
                 profiling: true,
+                eval: self.config.eval_config(chosen_is_twig),
                 ..CursorConfig::default()
             };
-            ccfg.eval.use_twigstack = chosen_is_twig;
-            ccfg.eval.use_skip_index = self.config.use_skip_index;
-            ccfg.eval.columnar_kernels = self.config.columnar_kernels;
             let breakers = algebra::pipeline_breakers(&chosen_plan);
             let mut exec = algebra::build_cursor(&chosen_plan, catalog, Some(doc), &ccfg)
                 .map_err(|e| Error::Eval(e.to_string()))?;
@@ -1046,9 +1014,7 @@ impl Uload {
         let _g = span.enter();
         let catalog = self.store.catalog();
         let mut ev = Evaluator::with_document(catalog, handle.document());
-        ev.config.use_twigstack = prep.use_twigstack;
-        ev.config.use_skip_index = self.config.use_skip_index;
-        ev.config.columnar_kernels = self.config.columnar_kernels;
+        ev.config = self.config.eval_config(prep.use_twigstack);
         let t = Instant::now();
         let (_rel, op_profile) = ev
             .eval_profiled(&prep.plan)
@@ -1632,36 +1598,31 @@ mod tests {
 
     #[test]
     fn access_method_knobs_preserve_answers() {
-        // skip-index seeks and summary pruning are access-path choices:
-        // flipping them must never change what a query returns
+        // seeking and bulk runs are kernel-path choices: flipping them
+        // must never change what a query returns
         let doc = xmark(2, 13);
         let q = r#"for $x in doc("X")//item return <res>{$x/name/text()}</res>"#;
         let view = "//item[id:s]{ /n? name1:name[val] }";
-        let run = |skip: bool, prune: bool| {
+        let run = |skip: bool, bulk: bool| {
             let mut u = Uload::builder()
                 .document(&doc)
                 .use_skip_index(skip)
-                .use_summary_pruning(prune)
+                .columnar_kernels(bulk)
                 .build()
                 .unwrap();
             u.add_view_text("V", view, &doc).unwrap();
             let materialized = u.answer(q, &doc).unwrap().0;
             let streamed: Vec<String> = u.query(q, &doc).unwrap().map(|r| r.unwrap()).collect();
-            assert_eq!(materialized, streamed, "skip={skip} prune={prune}");
+            assert_eq!(materialized, streamed, "skip={skip} bulk={bulk}");
             (materialized, u)
         };
-        let (base, engine_on) = run(true, true);
+        let (base, engine) = run(true, true);
         assert!(!base.is_empty());
-        for (skip, prune) in [(false, true), (true, false), (false, false)] {
-            assert_eq!(run(skip, prune).0, base, "skip={skip} prune={prune}");
+        for (skip, bulk) in [(false, true), (true, false), (false, false)] {
+            assert_eq!(run(skip, bulk).0, base, "skip={skip} bulk={bulk}");
         }
-        // the engine's access-module hook follows the pruning knob
-        let partitioned = engine_on.id_stream_index(&doc);
-        assert!(!partitioned
-            .partitions("item", xmltree::NodeKind::Element)
-            .is_empty());
-        let (_, engine_off) = run(true, false);
-        assert!(engine_off
+        // the engine's access-module hook always partitions by summary
+        assert!(!engine
             .id_stream_index(&doc)
             .partitions("item", xmltree::NodeKind::Element)
             .is_empty());

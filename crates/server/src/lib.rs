@@ -64,5 +64,5 @@ pub use cache::ResultCache;
 pub use client::{Client, ExecReply, RowEvent};
 pub use conn::BindAddr;
 pub use metrics::ServerMetrics;
-pub use server::{PreparedSlot, Server, ServerConfig, ServerHandle, ServerState};
+pub use server::{PreparedSlot, Server, ServerConfig, ServerHandle, ServerState, MAX_FRAME_BYTES};
 pub use slowlog::{SlowDisposition, SlowLog, SlowQueryEntry};

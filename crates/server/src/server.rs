@@ -9,7 +9,7 @@
 //! in one [`ServerState`] shared by `Arc`.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -680,21 +680,59 @@ enum ExecEnd {
     Failed(String),
 }
 
+/// Longest request line a session accepts, newline included. A client
+/// that sends more without a newline gets an `ERR` frame and its session
+/// is closed, so no session's line buffer grows past this.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// `read_line` bounded by [`MAX_FRAME_BYTES`]: appends to the session's
+/// persistent partial-line buffer and fails with `InvalidData` once the
+/// buffered line reaches the cap without a newline.
+fn read_frame(reader: &mut BufReader<Box<dyn Conn>>, line: &mut String) -> std::io::Result<usize> {
+    let room = MAX_FRAME_BYTES.saturating_sub(line.len()) as u64;
+    let n = reader.by_ref().take(room).read_line(line)?;
+    if line.len() >= MAX_FRAME_BYTES && !line.ends_with('\n') {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("request line exceeds {MAX_FRAME_BYTES} bytes"),
+        ));
+    }
+    Ok(n)
+}
+
 fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::Result<()> {
     conn.set_read_timeout_d(Some(state.config.idle_poll))?;
     let mut writer = BufWriter::new(conn.try_clone_box()?);
     let mut reader = BufReader::new(conn.try_clone_box()?);
+    tracing::debug!(target: "uload::server", "session {id} started");
+    let out = serve_session(id, state, &mut reader, &mut writer);
+    // a malformed frame (over MAX_FRAME_BYTES, or not UTF-8) ends only
+    // this session, with an ERR frame saying why
+    if let Err(e) = &out {
+        if e.kind() == ErrorKind::InvalidData {
+            state.metrics.errors.inc();
+            let _ = send(&mut writer, &err_line(&e.to_string()));
+        }
+    }
+    out
+}
+
+fn serve_session(
+    id: u64,
+    state: &ServerState,
+    reader: &mut BufReader<Box<dyn Conn>>,
+    writer: &mut BufWriter<Box<dyn Conn>>,
+) -> std::io::Result<()> {
     // Persistent partial-line buffer: a timed-out (or non-blocking,
     // during mid-stream cancel polling) read may have already consumed
     // a line fragment, which must survive until the newline arrives on
     // a later read. Cleared only once a complete line is parsed.
     let mut line = String::new();
     let mut counters = SessionCounters::default();
-    tracing::debug!(target: "uload::server", "session {id} started");
 
     loop {
         loop {
-            match reader.read_line(&mut line) {
+            match read_frame(reader, &mut line) {
                 Ok(0) => return Ok(()), // client hung up
                 Ok(_) => break,
                 Err(ref e) if is_poll_timeout(e) => {
@@ -710,7 +748,7 @@ fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::R
         let req = match req {
             Ok(r) => r,
             Err(msg) => {
-                send(&mut writer, &err_line(&msg))?;
+                send(writer, &err_line(&msg))?;
                 continue;
             }
         };
@@ -732,11 +770,11 @@ fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::R
                             "session {id}: prepared fp={fp:016x} in {}ns",
                             t.elapsed().as_nanos()
                         );
-                        send(&mut writer, &prepared_line(fp))?;
+                        send(writer, &prepared_line(fp))?;
                     }
                     Err(e) => {
                         state.metrics.errors.inc();
-                        send(&mut writer, &err_line(&e.to_string()))?
+                        send(writer, &err_line(&e.to_string()))?
                     }
                 }
             }
@@ -745,21 +783,14 @@ fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::R
                 let _g = span.enter();
                 match state.lookup(fp) {
                     Some(slot) => {
-                        let end = execute(
-                            state,
-                            id,
-                            &slot,
-                            &mut reader,
-                            &mut writer,
-                            &mut line,
-                            &mut counters,
-                        )?;
-                        finish(&mut writer, fp, end, &mut counters)?;
+                        let end =
+                            execute(state, id, &slot, reader, writer, &mut line, &mut counters)?;
+                        finish(writer, fp, end, &mut counters)?;
                     }
                     None => {
                         state.metrics.errors.inc();
                         send(
-                            &mut writer,
+                            writer,
                             &err_line(&format!("no prepared plan under fingerprint {fp:016x}")),
                         )?
                     }
@@ -772,20 +803,13 @@ fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::R
                     Ok(prep) => {
                         let fp = state.register(prep);
                         let slot = state.lookup(fp).expect("just registered");
-                        let end = execute(
-                            state,
-                            id,
-                            &slot,
-                            &mut reader,
-                            &mut writer,
-                            &mut line,
-                            &mut counters,
-                        )?;
-                        finish(&mut writer, fp, end, &mut counters)?;
+                        let end =
+                            execute(state, id, &slot, reader, writer, &mut line, &mut counters)?;
+                        finish(writer, fp, end, &mut counters)?;
                     }
                     Err(e) => {
                         state.metrics.errors.inc();
-                        send(&mut writer, &err_line(&e.to_string()))?
+                        send(writer, &err_line(&e.to_string()))?
                     }
                 }
             }
@@ -795,45 +819,39 @@ fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::R
                 let version = state.document().version().0;
                 match state.engine.explain_for_version(&text, version) {
                     Ok(explain) => send(
-                        &mut writer,
+                        writer,
                         &format!("EXPLAIN {}", explain.to_json().to_string_compact()),
                     )?,
                     Err(e) => {
                         state.metrics.errors.inc();
-                        send(&mut writer, &err_line(&e.to_string()))?
+                        send(writer, &err_line(&e.to_string()))?
                     }
                 }
             }
             Request::Stats => {
                 let json = session_profile(id, &counters, state).to_json();
-                send(&mut writer, &format!("STATS {}", json.to_string_compact()))?;
+                send(writer, &format!("STATS {}", json.to_string_compact()))?;
             }
             Request::Metrics => {
                 let json = state.metrics_json();
-                send(
-                    &mut writer,
-                    &format!("METRICS {}", json.to_string_compact()),
-                )?;
+                send(writer, &format!("METRICS {}", json.to_string_compact()))?;
             }
             Request::Slowlog => {
                 let entries = state.slowlog().drain();
                 let json = Json::Arr(entries.iter().map(SlowQueryEntry::to_json).collect());
-                send(
-                    &mut writer,
-                    &format!("SLOWLOG {}", json.to_string_compact()),
-                )?;
+                send(writer, &format!("SLOWLOG {}", json.to_string_compact()))?;
             }
             Request::Cancel => {
                 // nothing in flight: acknowledge as a zero-row cancel
-                send(&mut writer, &cancelled_line(0))?;
+                send(writer, &cancelled_line(0))?;
             }
             Request::Shutdown => {
                 state.request_shutdown();
-                send(&mut writer, "BYE")?;
+                send(writer, "BYE")?;
                 return Ok(());
             }
             Request::Quit => {
-                send(&mut writer, "BYE")?;
+                send(writer, "BYE")?;
                 return Ok(());
             }
         }
@@ -1172,7 +1190,7 @@ fn poll_cancel(reader: &mut BufReader<Box<dyn Conn>>, line: &mut String) -> std:
     reader.get_ref().set_nonblocking_d(true)?;
     let mut out = Poll::Quiet;
     loop {
-        match reader.read_line(line) {
+        match read_frame(reader, line) {
             Ok(0) => {
                 out = Poll::Disconnect;
                 break;

@@ -12,10 +12,9 @@
 //!
 //! Two access-method refinements ride on top of the plain columns:
 //!
-//! * every column carries an XB-tree-style [`SkipIndex`], so point
-//!   lookups ([`IdStreamIndex::seek_descendant_of`] /
-//!   [`IdStreamIndex::seek_past`]) and the join kernels jump over
-//!   irrelevant stream regions instead of scanning them;
+//! * every column is also stored packed as [`IdColumns`], the layout
+//!   the join kernels run over (its sorted `pre` column and `max_post`
+//!   fences make it seekable by construction);
 //! * [`IdStreamIndex::build_with_summary`] additionally splits each
 //!   column into per-summary-path partitions (φ of Definition 4.2.1),
 //!   and [`IdStreamIndex::pruned_stream`] reassembles, in pre order,
@@ -25,7 +24,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use algebra::{IdColumns, OrderSpec, Relation, Schema, Seek, SkipIndex, Tuple, TupleBatch, Value};
+use algebra::{IdColumns, OrderSpec, Relation, Schema, Tuple, TupleBatch, Value};
 use summary::{Summary, SummaryNodeId};
 use xmltree::{Document, NodeKind, StructuralId};
 
@@ -34,10 +33,7 @@ use algebra::Catalog;
 /// Keep-fraction above which [`IdStreamIndex::pruned_stream`] serves the
 /// whole column instead of merging partitions: when the summary keeps
 /// more than 3/4 of a column, the k-way heap merge costs more than the
-/// scan it saves *and* its freshly-merged output used to arrive without
-/// fences, so skip-seeks silently degraded to linear advances whenever
-/// pruning was on. Falling back keeps the stored fences live — this is
-/// what makes `skip_index × summary_pruning` compose on dense columns.
+/// scan it saves.
 const KEEP_FALLBACK_NUM: usize = 3;
 const KEEP_FALLBACK_DEN: usize = 4;
 
@@ -51,16 +47,11 @@ pub struct Partition {
 
 /// A pruned scan's result: the merged IDs plus how many of the column's
 /// partitions were opened to produce them — the `partitions_opened /
-/// partitions_total` figures of the execution metrics. The stream
-/// carries its own fence levels so skip-seeks compose with pruning:
-/// either the stored column's index (fallback case) or one built over
-/// the merged output.
+/// partitions_total` figures of the execution metrics.
 #[derive(Debug, Clone)]
 pub struct PrunedStream {
     /// Pre-sorted merge of the selected partitions.
     pub ids: Vec<StructuralId>,
-    /// Fence levels over exactly `ids`, ready for the seek kernels.
-    pub skip: SkipIndex,
     pub opened: usize,
     pub total: usize,
 }
@@ -69,17 +60,16 @@ pub struct PrunedStream {
 struct Column {
     ids: Vec<StructuralId>,
     /// The same stream in packed structure-of-arrays layout, for the
-    /// vectorized kernels (`columnar_kernels`). Kept alongside the
-    /// array-of-structs `ids` so `scan_slices` can stay zero-copy.
+    /// join kernels. Kept alongside the array-of-structs `ids` so
+    /// `scan_slices` can stay zero-copy.
     cols: IdColumns,
-    skip: SkipIndex,
     /// Summary-path partitions, sorted by path id; empty when the index
     /// was built without a summary.
     partitions: Vec<Partition>,
 }
 
 /// The index: one sorted `Vec<StructuralId>` column per `(label, kind)`,
-/// each with a skip index and (optionally) summary-path partitions.
+/// each with its packed layout and (optionally) summary-path partitions.
 #[derive(Debug, Default, Clone)]
 pub struct IdStreamIndex {
     columns: HashMap<(String, NodeKind), Column>,
@@ -136,14 +126,12 @@ impl IdStreamIndex {
                     })
                     .unwrap_or_default();
                 partitions.sort_by_key(|p| p.path);
-                let skip = SkipIndex::build(&ids);
                 let cols = IdColumns::from_sids(&ids);
                 (
                     key,
                     Column {
                         ids,
                         cols,
-                        skip,
                         partitions,
                     },
                 )
@@ -177,54 +165,12 @@ impl IdStreamIndex {
         self.stream(label, NodeKind::Element)
     }
 
-    /// The skip index over a column, if the column exists.
-    pub fn skip_index(&self, label: &str, kind: NodeKind) -> Option<&SkipIndex> {
-        self.column(label, kind).map(|c| &c.skip)
-    }
-
     /// The packed structure-of-arrays layout of a column, if the column
     /// exists — the physical representation the vectorized kernels
     /// consume. Payloads are positions, matching the order of
     /// [`IdStreamIndex::stream`].
     pub fn columnar(&self, label: &str, kind: NodeKind) -> Option<&IdColumns> {
         self.column(label, kind).map(|c| &c.cols)
-    }
-
-    /// Seek the column to the first position at or after `from` whose ID
-    /// can still be a descendant of `anchor` (see
-    /// [`SkipIndex::seek_descendant_of`]). Missing columns are empty.
-    pub fn seek_descendant_of(
-        &self,
-        label: &str,
-        kind: NodeKind,
-        from: usize,
-        anchor: StructuralId,
-    ) -> Seek {
-        match self.column(label, kind) {
-            Some(c) => c.skip.seek_descendant_of(&c.ids, from, anchor),
-            None => Seek {
-                pos: 0,
-                blocks_pruned: 0,
-            },
-        }
-    }
-
-    /// Seek the column past `anchor`'s whole subtree (see
-    /// [`SkipIndex::seek_past`]). Missing columns are empty.
-    pub fn seek_past(
-        &self,
-        label: &str,
-        kind: NodeKind,
-        from: usize,
-        anchor: StructuralId,
-    ) -> Seek {
-        match self.column(label, kind) {
-            Some(c) => c.skip.seek_past(&c.ids, from, anchor),
-            None => Seek {
-                pos: 0,
-                blocks_pruned: 0,
-            },
-        }
     }
 
     /// The column's summary-path partitions (empty unless built with
@@ -243,12 +189,9 @@ impl IdStreamIndex {
     ///
     /// When the selected partitions hold more than
     /// `KEEP_FALLBACK_NUM/KEEP_FALLBACK_DEN` of the column, the scan
-    /// serves the whole column (with its stored fences) instead: the
-    /// merge would cost more than the few elements it removes, and the
-    /// prebuilt skip index over the full column keeps seek-skipping
-    /// effective. `opened == total` reports the declined pruning
-    /// honestly. Genuinely pruned merges get a fresh [`SkipIndex`] built
-    /// over the merged output, so seeks compose either way.
+    /// serves the whole column instead: the merge would cost more than
+    /// the few elements it removes. `opened == total` reports the
+    /// declined pruning honestly.
     pub fn pruned_stream(
         &self,
         label: &str,
@@ -259,7 +202,6 @@ impl IdStreamIndex {
         let Some(c) = self.column(label, kind) else {
             return PrunedStream {
                 ids: Vec::new(),
-                skip: SkipIndex::default(),
                 opened: 0,
                 total: 0,
             };
@@ -267,7 +209,6 @@ impl IdStreamIndex {
         if c.partitions.is_empty() {
             return PrunedStream {
                 ids: c.ids.clone(),
-                skip: c.skip.clone(),
                 opened: 0,
                 total: 0,
             };
@@ -281,7 +222,6 @@ impl IdStreamIndex {
         if kept * KEEP_FALLBACK_DEN > c.ids.len() * KEEP_FALLBACK_NUM {
             return PrunedStream {
                 ids: c.ids.clone(),
-                skip: c.skip.clone(),
                 opened: c.partitions.len(),
                 total: c.partitions.len(),
             };
@@ -304,10 +244,8 @@ impl IdStreamIndex {
                 heap.push(Reverse((next.pre, i)));
             }
         }
-        let skip = SkipIndex::build(&ids);
         PrunedStream {
             ids,
-            skip,
             opened: selected.len(),
             total: c.partitions.len(),
         }
@@ -474,31 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn column_seeks_match_linear_scans() {
-        let doc = generate::xmark(3, 7);
-        let idx = IdStreamIndex::build(&doc);
-        let keywords = idx.elements("keyword");
-        let anchor = idx.elements("item")[2];
-        let d = idx.seek_descendant_of("keyword", NodeKind::Element, 0, anchor);
-        assert_eq!(
-            d.pos,
-            keywords.iter().position(|s| s.pre > anchor.pre).unwrap()
-        );
-        let p = idx.seek_past("keyword", NodeKind::Element, 0, anchor);
-        assert_eq!(
-            p.pos,
-            keywords
-                .iter()
-                .position(|s| s.pre > anchor.pre && s.post > anchor.post)
-                .unwrap()
-        );
-        assert_eq!(
-            idx.seek_past("no_such", NodeKind::Element, 0, anchor).pos,
-            0
-        );
-    }
-
-    #[test]
     fn summary_partitions_cover_each_column_exactly() {
         let doc = generate::xmark(2, 9);
         let s = Summary::of_document(&doc);
@@ -527,21 +440,19 @@ mod tests {
         let parts = idx.partitions("keyword", NodeKind::Element);
         assert!(parts.len() >= 2, "need several keyword paths");
         // all partitions selected ⇒ keep-fraction fallback: the full
-        // column with its stored fences, opened == total
+        // column, opened == total
         let all: Vec<SummaryNodeId> = parts.iter().map(|p| p.path).collect();
         let full = idx.pruned_stream("keyword", NodeKind::Element, &all);
         assert_eq!(full.ids, idx.elements("keyword"));
         assert_eq!(full.opened, full.total);
-        assert_eq!(full.skip.len(), full.ids.len());
         // a single small partition (under the keep-fraction threshold)
-        // comes back verbatim, still pre-sorted, with fresh fences
+        // comes back verbatim, still pre-sorted
         let small = parts.iter().min_by_key(|p| p.ids.len()).unwrap();
         assert!(small.ids.len() * 4 <= idx.elements("keyword").len() * 3);
         let one = idx.pruned_stream("keyword", NodeKind::Element, &[small.path]);
         assert_eq!(one.ids, small.ids);
         assert_eq!(one.opened, 1);
         assert!(one.ids.windows(2).all(|w| w[0].pre < w[1].pre));
-        assert_eq!(one.skip.len(), one.ids.len());
         // nothing selected → empty stream, zero opened
         let none = idx.pruned_stream("keyword", NodeKind::Element, &[]);
         assert!(none.ids.is_empty());
@@ -552,13 +463,12 @@ mod tests {
         let fallback = plain.pruned_stream("keyword", NodeKind::Element, &[]);
         assert_eq!(fallback.ids, plain.elements("keyword"));
         assert_eq!((fallback.opened, fallback.total), (0, 0));
-        assert_eq!(fallback.skip.len(), fallback.ids.len());
     }
 
     #[test]
-    fn pruned_streams_carry_composable_fences() {
-        // a genuinely pruned merge must arrive with fences over exactly
-        // the merged output so skip-seeks compose with pruning
+    fn multi_partition_merges_keep_pre_order() {
+        // a genuinely pruned merge of several partitions must hold
+        // exactly the column's elements on the chosen paths, in pre order
         let doc = generate::xmark(3, 11);
         let s = Summary::of_document(&doc);
         let idx = IdStreamIndex::build_with_summary(&doc, &s);
@@ -573,21 +483,16 @@ mod tests {
             }
         }
         chosen.sort_unstable();
-        assert!(!chosen.is_empty(), "need a sub-threshold selection");
+        assert!(chosen.len() >= 2, "need a multi-partition selection");
         let pruned = idx.pruned_stream("keyword", NodeKind::Element, &chosen);
-        assert!(pruned.ids.len() < idx.elements("keyword").len());
-        assert_eq!(pruned.skip.len(), pruned.ids.len());
-        // the carried index seeks correctly over the merged stream
-        let anchor = idx.elements("item")[2];
-        let want = pruned
-            .ids
-            .iter()
-            .position(|s| s.pre > anchor.pre)
-            .unwrap_or(pruned.ids.len());
-        assert_eq!(
-            pruned.skip.seek_descendant_of(&pruned.ids, 0, anchor).pos,
-            want
-        );
+        assert_eq!(pruned.opened, chosen.len());
+        let phi = s.classify(&doc).expect("document conforms to its summary");
+        let want: Vec<StructuralId> = doc
+            .nodes_with_label("keyword", NodeKind::Element)
+            .filter(|n| chosen.binary_search(&phi[n.index()]).is_ok())
+            .map(|n| doc.structural_id(n))
+            .collect();
+        assert_eq!(pruned.ids, want);
     }
 
     #[test]

@@ -14,12 +14,13 @@
 //! (rewriting), `qep_catalogue` (§2.1 plans), `minimize` (§4.5),
 //! `twig` (E10 holistic twig-join ablation; writes `BENCH_twig.json`),
 //! `pipeline` (E11 pipelined batch executor vs materialized evaluation;
-//! writes `BENCH_pipeline.json`), `skip` (E12 skip-index × summary-
+//! writes `BENCH_pipeline.json`), `skip` (E12 kernel seeking × summary
 //! pruning access-method grid; writes `BENCH_skip.json`), `server`
 //! (E13 multi-client query server: warm result-cache speedup plus a
 //! QPS/latency sweep over client counts; writes `BENCH_server.json`),
-//! `vector` (E14 columnar-kernel dense-parity grid: scalar linear vs
-//! skip-indexed vs columnar; writes `BENCH_vector.json`), `feedback`
+//! `vector` (E14 kernel-flag dense-parity grid: the one twig kernel with
+//! neither seeking nor bulk runs vs seeking alone vs both; writes
+//! `BENCH_vector.json`), `feedback`
 //! (E15 feedback-driven adaptive planning: cold catalog estimates vs a
 //! replanned pass under measured cardinalities on a skewed document;
 //! writes `BENCH_feedback.json`).
@@ -566,7 +567,7 @@ fn twig(quick: bool) {
 }
 
 fn skip(quick: bool) {
-    header("E12 — skip-based twig joins: seek indexes × summary pruning");
+    header("E12 — seeking twig joins × summary pruning");
     let (scale, reps) = if quick { (4, 3) } else { (15, 7) };
     let doc = uload::generate::xmark(scale, 42);
     let rows = experiments::skip_ablation(&doc, reps);
@@ -644,12 +645,13 @@ fn skip(quick: bool) {
     }
     println!(
         "(seeks engage where parent-open pruning discards whole runs; summary pruning \
-         shrinks the streams before the merge starts — dense twigs are the honest near-tie)"
+         shrinks the streams before the merge starts and carries the selective win — \
+         dense twigs are the honest near-tie)"
     );
 }
 
 fn vector(quick: bool) {
-    header("E14 — columnar kernels: packed columns vs scalar paths");
+    header("E14 — kernel flags: linear vs seeking vs seeking + bulk runs");
     let (scale, reps) = if quick { (4, 3) } else { (15, 49) };
     let doc = uload::generate::xmark(scale, 42);
     let rows = experiments::vector_parity(&doc, reps);
@@ -660,7 +662,7 @@ fn vector(quick: bool) {
         "dense",
         "linear(ns)",
         "+skip(ns)",
-        "column(ns)",
+        "+bulk(ns)",
         "x linear",
         "x skip",
         "vbatches",
@@ -688,7 +690,7 @@ fn vector(quick: bool) {
         .collect();
     dense.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let dense_median = dense[dense.len() / 2];
-    println!("dense-grid median columnar speedup vs linear: {dense_median:.2}x");
+    println!("dense-grid median default-flag speedup vs linear: {dense_median:.2}x");
     // machine-readable record (hand-rolled JSON — the workspace
     // deliberately carries no serializer dependency)
     let mut json = String::from("{\n  \"experiment\": \"vector_parity\",\n");
@@ -728,8 +730,8 @@ fn vector(quick: bool) {
         Err(e) => eprintln!("(could not write BENCH_vector.json: {e})"),
     }
     println!(
-        "(the packed pre/post/depth columns win the dense case by retiring compares \
-         lane-at-a-time; on selective twigs the galloped seeks keep pace with the XB-tree)"
+        "(bulk runs win the dense case by retiring compares lane-at-a-time once runs \
+         reach ~4 elements; on selective twigs seeking carries the discard)"
     );
 }
 

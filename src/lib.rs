@@ -56,7 +56,7 @@
 pub use uload_error::{Error, Result};
 
 pub use algebra::{
-    fuse_struct_joins, ArmSwitchHint, Evaluator, Relation, Seek, SkipIndex, StreamExec, TupleBatch,
+    fuse_struct_joins, ArmSwitchHint, EvalConfig, Evaluator, Relation, StreamExec, TupleBatch,
     TwigPattern, DEFAULT_BLOCK,
 };
 pub use containment::{

@@ -151,13 +151,134 @@ proptest! {
     }
 }
 
+/// A random `/`+`//` tree pattern over a generated XMark or DBLP
+/// document: spec entry `k` picks node `k`'s label from a pool of ten,
+/// hangs it off a random earlier node, and picks its axis.
+fn random_twig(
+    spec: &[(usize, usize, usize)],
+    dblp: bool,
+) -> (xmltree::Document, uload_bench::experiments::TwigWorkload) {
+    let doc = if dblp {
+        generate::dblp(6, 7)
+    } else {
+        generate::xmark(3, 7)
+    };
+    let pool: [&'static str; 10] = if dblp {
+        [
+            "dblp",
+            "article",
+            "inproceedings",
+            "book",
+            "author",
+            "title",
+            "year",
+            "journal",
+            "pages",
+            "url",
+        ]
+    } else {
+        [
+            "site",
+            "regions",
+            "item",
+            "name",
+            "description",
+            "parlist",
+            "listitem",
+            "text",
+            "keyword",
+            "mailbox",
+        ]
+    };
+    let mut w = uload_bench::experiments::TwigWorkload {
+        name: "prop".into(),
+        labels: Vec::new(),
+        parents: Vec::new(),
+        axes: Vec::new(),
+    };
+    for (k, &(label, parent, child)) in spec.iter().enumerate() {
+        w.labels.push(pool[label]);
+        w.parents.push(if k == 0 { 0 } else { parent % k });
+        w.axes.push(if child == 1 {
+            algebra::Axis::Child
+        } else {
+            algebra::Axis::Descendant
+        });
+    }
+    (doc, w)
+}
+
+/// Every `{seek, bulk}` flag combination of the join kernels.
+fn flag_grid() -> [algebra::EvalConfig; 4] {
+    use uload_bench::experiments::kernel_flags;
+    [
+        kernel_flags(false, false),
+        kernel_flags(false, true),
+        kernel_flags(true, false),
+        kernel_flags(true, true),
+    ]
+}
+
+/// The nested-loop cascade's solutions, sorted into the twig kernel's
+/// lexicographic order — the oracle every kernel is held to.
+fn nested_loop_solutions(
+    w: &uload_bench::experiments::TwigWorkload,
+    streams: &[Vec<(xmltree::StructuralId, usize)>],
+) -> Vec<Vec<usize>> {
+    let mut sols = uload_bench::experiments::cascade_solutions(&w.parents, &w.axes, streams, false);
+    sols.sort_unstable();
+    sols
+}
+
+/// Evaluate `plan` under `eval` both materialized and through the
+/// streamed cursor executor at `batch_size`; the two must agree.
+fn materialized_and_streamed(
+    plan: &algebra::LogicalPlan,
+    cat: &algebra::Catalog,
+    eval: algebra::EvalConfig,
+    batch_size: usize,
+) -> Result<algebra::Relation, TestCaseError> {
+    let mut ev = algebra::Evaluator::new(cat);
+    ev.config = eval;
+    let mat = ev.eval(plan).unwrap();
+    let ccfg = algebra::CursorConfig {
+        batch_size,
+        eval,
+        ..Default::default()
+    };
+    let streamed = algebra::build_cursor(plan, cat, None, &ccfg)
+        .unwrap()
+        .collect()
+        .unwrap();
+    prop_assert_eq!(
+        &streamed,
+        &mat,
+        "streamed != materialized (seek {}, bulk {}, twig {}, batch {})",
+        eval.use_skip_index,
+        eval.columnar_kernels,
+        eval.use_twigstack,
+        batch_size
+    );
+    Ok(mat)
+}
+
+/// The planner's nested-loop answer for `plan`: holistic operator and
+/// StackTree both off, so no join kernel runs at all.
+fn nested_loop_relation(plan: &algebra::LogicalPlan, cat: &algebra::Catalog) -> algebra::Relation {
+    let mut ev = algebra::Evaluator::new(cat);
+    ev.config.use_twigstack = false;
+    ev.config.use_stacktree = false;
+    ev.eval(plan).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The holistic `TwigStack` operator agrees exactly with both binary
     /// cascades — StackTree and nested loop — on random `/`+`//` tree
-    /// patterns over generated XMark and DBLP documents, and the planner
-    /// path (fused `TwigJoin` plan) returns the same relation whether the
+    /// patterns over generated XMark and DBLP documents, under every
+    /// `{seek, bulk}` flag combination, and the planner path (fused
+    /// `TwigJoin` plan) returns the nested-loop relation whether the
     /// holistic operator is enabled or the evaluator falls back to the
     /// cascade.
     #[test]
@@ -165,43 +286,19 @@ proptest! {
         spec in prop::collection::vec((0usize..10, 0usize..8, 0usize..2), 2..7),
         dblp_sel in 0usize..2,
     ) {
-        let dblp = dblp_sel == 1;
-        let doc = if dblp { generate::dblp(6, 7) } else { generate::xmark(3, 7) };
-        let pool: [&'static str; 10] = if dblp {
-            ["dblp", "article", "inproceedings", "book", "author",
-             "title", "year", "journal", "pages", "url"]
-        } else {
-            ["site", "regions", "item", "name", "description",
-             "parlist", "listitem", "text", "keyword", "mailbox"]
-        };
-        // random tree pattern: node k hangs off a random earlier node
-        // with a random Child/Descendant axis
-        let mut w = uload_bench::experiments::TwigWorkload {
-            name: "prop".into(),
-            labels: Vec::new(),
-            parents: Vec::new(),
-            axes: Vec::new(),
-        };
-        for (k, &(label, parent, child)) in spec.iter().enumerate() {
-            w.labels.push(pool[label]);
-            w.parents.push(if k == 0 { 0 } else { parent % k });
-            w.axes.push(if child == 1 { algebra::Axis::Child } else { algebra::Axis::Descendant });
-        }
-
+        let (doc, w) = random_twig(&spec, dblp_sel == 1);
         let idx = storage::IdStreamIndex::build(&doc);
         let pattern = w.pattern();
         let streams = w.streams(&idx);
-        let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-            streams.iter().map(|s| s.as_slice()).collect();
-        let twig = algebra::twig_join(&pattern, &refs);
-        let mut stack = uload_bench::experiments::cascade_solutions(
-            &w.parents, &w.axes, &streams, true);
-        stack.sort_unstable();
-        let mut nested = uload_bench::experiments::cascade_solutions(
-            &w.parents, &w.axes, &streams, false);
-        nested.sort_unstable();
-        prop_assert_eq!(&twig, &stack, "twig vs StackTree cascade on {:?}", w.labels);
-        prop_assert_eq!(&stack, &nested, "StackTree vs nested loop on {:?}", w.labels);
+        let nested = nested_loop_solutions(&w, &streams);
+        for flags in flag_grid() {
+            let twig = uload_bench::experiments::twig_kernel(&pattern, &streams, flags);
+            prop_assert_eq!(&twig, &nested, "twig vs nested loop on {:?}", w.labels);
+            let mut stack = uload_bench::experiments::cascade_solutions_with(
+                &w.parents, &w.axes, &streams, flags);
+            stack.sort_unstable();
+            prop_assert_eq!(&stack, &nested, "StackTree vs nested loop on {:?}", w.labels);
+        }
 
         // planner path: the fused plan over the catalog-registered ID
         // streams, with and without the holistic operator (labels absent
@@ -209,12 +306,14 @@ proptest! {
         if streams.iter().all(|s| !s.is_empty()) {
             let cat = uload_bench::experiments::twig_catalog(&doc);
             let plan = w.twig_plan();
-            let on = algebra::Evaluator::new(&cat).eval(&plan).unwrap();
-            let mut off_ev = algebra::Evaluator::new(&cat);
-            off_ev.config.use_twigstack = false;
-            let off = off_ev.eval(&plan).unwrap();
-            prop_assert_eq!(on.tuples.len(), twig.len());
-            prop_assert_eq!(on, off, "planner twig vs cascade fallback on {:?}", w.labels);
+            let oracle = nested_loop_relation(&plan, &cat);
+            prop_assert_eq!(oracle.tuples.len(), nested.len());
+            for twig_on in [true, false] {
+                let mut ev = algebra::Evaluator::new(&cat);
+                ev.config.use_twigstack = twig_on;
+                let got = ev.eval(&plan).unwrap();
+                prop_assert_eq!(&got, &oracle, "planner twig {} on {:?}", twig_on, w.labels);
+            }
         }
     }
 }
@@ -232,26 +331,7 @@ proptest! {
         dblp_sel in 0usize..2,
         batch_pick in 0usize..4,
     ) {
-        let dblp = dblp_sel == 1;
-        let doc = if dblp { generate::dblp(6, 7) } else { generate::xmark(3, 7) };
-        let pool: [&'static str; 10] = if dblp {
-            ["dblp", "article", "inproceedings", "book", "author",
-             "title", "year", "journal", "pages", "url"]
-        } else {
-            ["site", "regions", "item", "name", "description",
-             "parlist", "listitem", "text", "keyword", "mailbox"]
-        };
-        let mut w = uload_bench::experiments::TwigWorkload {
-            name: "prop".into(),
-            labels: Vec::new(),
-            parents: Vec::new(),
-            axes: Vec::new(),
-        };
-        for (k, &(label, parent, child)) in spec.iter().enumerate() {
-            w.labels.push(pool[label]);
-            w.parents.push(if k == 0 { 0 } else { parent % k });
-            w.axes.push(if child == 1 { algebra::Axis::Child } else { algebra::Axis::Descendant });
-        }
+        let (doc, w) = random_twig(&spec, dblp_sel == 1);
         let idx = storage::IdStreamIndex::build(&doc);
         if w.streams(&idx).iter().any(|s| s.is_empty()) {
             return Ok(()); // label absent: no ids_* relation to scan
@@ -263,21 +343,11 @@ proptest! {
             (w.twig_plan(), false), // exercises the cascade fallback
             (w.cascade_plan(), true),
         ] {
-            let mut ev = algebra::Evaluator::new(&cat);
-            ev.config.use_twigstack = twig_on;
-            let oracle = ev.eval(&plan).unwrap();
-            let mut ccfg = algebra::CursorConfig {
-                batch_size,
+            let eval = algebra::EvalConfig {
+                use_twigstack: twig_on,
                 ..Default::default()
             };
-            ccfg.eval.use_twigstack = twig_on;
-            let exec = algebra::build_cursor(&plan, &cat, None, &ccfg).unwrap();
-            let streamed = exec.collect().unwrap();
-            prop_assert_eq!(
-                &streamed, &oracle,
-                "streamed != materialized on {:?} (batch {}, twig {})",
-                w.labels, batch_size, twig_on
-            );
+            materialized_and_streamed(&plan, &cat, eval, batch_size)?;
         }
     }
 }
@@ -285,105 +355,52 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The seek-indexed access path is invisible to results: on random
-    /// XMark and DBLP twig patterns, the skip-indexed holistic kernel
-    /// (block sizes 1, 2, 64, and a non-power-of-two), the indexed
-    /// StackTree merge, the linear kernels, and the nested-loop oracle
-    /// all agree — and the planner paths (materialized evaluation and
-    /// the streamed cursor executor behind `query()`) return the same
-    /// relation with `use_skip_index` on and off.
+    /// Seeking is invisible to results in the twig kernel: on random
+    /// XMark and DBLP twig patterns the one holistic kernel — under all
+    /// four `{seek, bulk}` flag combinations and at fence block sizes
+    /// 1, 2, 13 and 64 — returns the nested-loop cascade's solutions,
+    /// and the planner's fused twig plan returns the nested-loop
+    /// relation under every flag combination, both materialized and
+    /// through the streamed cursor executor.
     #[test]
     fn skip_scan_matches_full_scan(
         spec in prop::collection::vec((0usize..10, 0usize..8, 0usize..2), 2..7),
         dblp_sel in 0usize..2,
         batch_pick in 0usize..4,
     ) {
-        let dblp = dblp_sel == 1;
-        let doc = if dblp { generate::dblp(6, 7) } else { generate::xmark(3, 7) };
-        let pool: [&'static str; 10] = if dblp {
-            ["dblp", "article", "inproceedings", "book", "author",
-             "title", "year", "journal", "pages", "url"]
-        } else {
-            ["site", "regions", "item", "name", "description",
-             "parlist", "listitem", "text", "keyword", "mailbox"]
-        };
-        let mut w = uload_bench::experiments::TwigWorkload {
-            name: "prop".into(),
-            labels: Vec::new(),
-            parents: Vec::new(),
-            axes: Vec::new(),
-        };
-        for (k, &(label, parent, child)) in spec.iter().enumerate() {
-            w.labels.push(pool[label]);
-            w.parents.push(if k == 0 { 0 } else { parent % k });
-            w.axes.push(if child == 1 { algebra::Axis::Child } else { algebra::Axis::Descendant });
-        }
-
+        let (doc, w) = random_twig(&spec, dblp_sel == 1);
         let idx = storage::IdStreamIndex::build(&doc);
         let pattern = w.pattern();
         let streams = w.streams(&idx);
-        let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-            streams.iter().map(|s| s.as_slice()).collect();
-        let linear = algebra::twig_join(&pattern, &refs);
-        let mut nested = uload_bench::experiments::cascade_solutions(
-            &w.parents, &w.axes, &streams, false);
-        nested.sort_unstable();
-        prop_assert_eq!(&linear, &nested, "linear twig vs nested loop on {:?}", w.labels);
-
-        // the seek-indexed kernels, across degenerate, tiny, default,
-        // and non-power-of-two block sizes
-        for block in [1usize, 2, 64, 13] {
-            let ixs: Vec<algebra::SkipIndex> = streams
+        let nested = nested_loop_solutions(&w, &streams);
+        for block in [1usize, 2, 13, 64] {
+            let cols: Vec<algebra::IdColumns> = streams
                 .iter()
-                .map(|s| algebra::SkipIndex::with_block(s, block))
+                .map(|s| algebra::IdColumns::from_pairs(s, block))
                 .collect();
-            let opts: Vec<Option<&algebra::SkipIndex>> = ixs.iter().map(Some).collect();
-            let indexed = algebra::twig_join_indexed(&pattern, &refs, &opts);
-            prop_assert_eq!(
-                &indexed, &linear,
-                "indexed twig (block {}) vs linear on {:?}", block, w.labels
-            );
-            let mut stack = uload_bench::experiments::cascade_solutions_with(
-                &w.parents, &w.axes, &streams, true);
-            stack.sort_unstable();
-            prop_assert_eq!(
-                &stack, &linear,
-                "indexed StackTree cascade vs linear on {:?}", w.labels
-            );
+            let refs: Vec<&algebra::IdColumns> = cols.iter().collect();
+            for flags in flag_grid() {
+                let got = algebra::twig_join_columnar(&pattern, &refs, flags);
+                prop_assert_eq!(
+                    &got, &nested,
+                    "twig kernel (block {}, seek {}, bulk {}) vs nested loop on {:?}",
+                    block, flags.use_skip_index, flags.columnar_kernels, w.labels
+                );
+            }
         }
 
-        // planner paths: same relation with the knob on and off, both
-        // materialized and through the streamed cursor executor
         if streams.iter().all(|s| !s.is_empty()) {
             let cat = uload_bench::experiments::twig_catalog(&doc);
             let plan = w.twig_plan();
+            let oracle = nested_loop_relation(&plan, &cat);
             let batch_size = [1usize, 2, 7, 1024][batch_pick];
-            let mut oracle = None;
-            for skip_on in [true, false] {
-                let mut ev = algebra::Evaluator::new(&cat);
-                ev.config.use_skip_index = skip_on;
-                let mat = ev.eval(&plan).unwrap();
-                let mut ccfg = algebra::CursorConfig {
-                    batch_size,
-                    ..Default::default()
-                };
-                ccfg.eval.use_skip_index = skip_on;
-                let exec = algebra::build_cursor(&plan, &cat, None, &ccfg).unwrap();
-                let streamed = exec.collect().unwrap();
+            for flags in flag_grid() {
+                let got = materialized_and_streamed(&plan, &cat, flags, batch_size)?;
                 prop_assert_eq!(
-                    &streamed, &mat,
-                    "streamed != materialized (skip {}, batch {}) on {:?}",
-                    skip_on, batch_size, w.labels
+                    &got, &oracle,
+                    "twig plan (seek {}, bulk {}) vs nested loop on {:?}",
+                    flags.use_skip_index, flags.columnar_kernels, w.labels
                 );
-                if let Some(prev) = &oracle {
-                    prop_assert_eq!(
-                        prev, &mat,
-                        "skip index changed results on {:?}", w.labels
-                    );
-                } else {
-                    prop_assert_eq!(mat.tuples.len(), linear.len());
-                    oracle = Some(mat);
-                }
             }
         }
     }
@@ -392,98 +409,55 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The columnar (structure-of-arrays) kernels are invisible to
-    /// results: on random XMark and DBLP twig patterns the batched
-    /// `twig_join_columnar` over packed pre/post/depth columns — at
-    /// block sizes 1, 2, 13 and 64 — returns byte-identical output to
-    /// the scalar kernel and the nested-loop oracle, and the planner
-    /// paths (materialized evaluation and the streamed cursor executor)
-    /// return the same relation with `columnar_kernels` on and off.
+    /// Bulk runs are invisible to results in the StackTree kernel: for
+    /// every edge of random XMark and DBLP twig patterns the one
+    /// StackTree kernel — under all four `{seek, bulk}` flag
+    /// combinations and at fence block sizes 1, 2, 13 and 64 — returns
+    /// exactly `nested_loop_pairs`' pairs, and the planner's binary
+    /// cascade plan returns the nested-loop relation under every flag
+    /// combination, both materialized and streamed.
     #[test]
     fn columnar_matches_scalar(
         spec in prop::collection::vec((0usize..10, 0usize..8, 0usize..2), 2..7),
         dblp_sel in 0usize..2,
         batch_pick in 0usize..4,
     ) {
-        let dblp = dblp_sel == 1;
-        let doc = if dblp { generate::dblp(6, 7) } else { generate::xmark(3, 7) };
-        let pool: [&'static str; 10] = if dblp {
-            ["dblp", "article", "inproceedings", "book", "author",
-             "title", "year", "journal", "pages", "url"]
-        } else {
-            ["site", "regions", "item", "name", "description",
-             "parlist", "listitem", "text", "keyword", "mailbox"]
-        };
-        let mut w = uload_bench::experiments::TwigWorkload {
-            name: "prop".into(),
-            labels: Vec::new(),
-            parents: Vec::new(),
-            axes: Vec::new(),
-        };
-        for (k, &(label, parent, child)) in spec.iter().enumerate() {
-            w.labels.push(pool[label]);
-            w.parents.push(if k == 0 { 0 } else { parent % k });
-            w.axes.push(if child == 1 { algebra::Axis::Child } else { algebra::Axis::Descendant });
-        }
-
+        let (doc, w) = random_twig(&spec, dblp_sel == 1);
         let idx = storage::IdStreamIndex::build(&doc);
-        let pattern = w.pattern();
         let streams = w.streams(&idx);
-        let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-            streams.iter().map(|s| s.as_slice()).collect();
-        let scalar = algebra::twig_join(&pattern, &refs);
-        let mut nested = uload_bench::experiments::cascade_solutions(
-            &w.parents, &w.axes, &streams, false);
-        nested.sort_unstable();
-        prop_assert_eq!(&scalar, &nested, "scalar twig vs nested loop on {:?}", w.labels);
-
-        // the batched kernel across degenerate, tiny, non-power-of-two
-        // and default block sizes
-        for block in [1usize, 2, 13, 64] {
-            let cols: Vec<algebra::IdColumns> = streams
-                .iter()
-                .map(|s| algebra::IdColumns::from_pairs(s, block))
-                .collect();
-            let col_refs: Vec<&algebra::IdColumns> = cols.iter().collect();
-            let columnar = algebra::twig_join_columnar(&pattern, &col_refs);
-            prop_assert_eq!(
-                &columnar, &scalar,
-                "columnar twig (block {}) vs scalar on {:?}", block, w.labels
-            );
+        for k in 1..streams.len() {
+            let (anc, desc) = (&streams[w.parents[k]], &streams[k]);
+            let mut want = algebra::nested_loop_pairs(anc, desc, w.axes[k]);
+            want.sort_unstable();
+            for block in [1usize, 2, 13, 64] {
+                let ac = algebra::IdColumns::from_pairs(anc, block);
+                let dc = algebra::IdColumns::from_pairs(desc, block);
+                for flags in flag_grid() {
+                    let mut got = algebra::stack_tree_pairs_columnar(&ac, &dc, w.axes[k], flags);
+                    // StackTreeDesc order: descendant positions never decrease
+                    prop_assert!(got.windows(2).all(|p| p[0].1 <= p[1].1));
+                    got.sort_unstable();
+                    prop_assert_eq!(
+                        &got, &want,
+                        "StackTree edge {} (block {}, seek {}, bulk {}) on {:?}",
+                        k, block, flags.use_skip_index, flags.columnar_kernels, w.labels
+                    );
+                }
+            }
         }
 
-        // planner paths: same relation with the knob on and off, both
-        // materialized and through the streamed cursor executor
         if streams.iter().all(|s| !s.is_empty()) {
             let cat = uload_bench::experiments::twig_catalog(&doc);
-            let plan = w.twig_plan();
+            let plan = w.cascade_plan();
+            let oracle = nested_loop_relation(&plan, &cat);
             let batch_size = [1usize, 2, 7, 1024][batch_pick];
-            let mut oracle = None;
-            for columnar_on in [true, false] {
-                let mut ev = algebra::Evaluator::new(&cat);
-                ev.config.columnar_kernels = columnar_on;
-                let mat = ev.eval(&plan).unwrap();
-                let mut ccfg = algebra::CursorConfig {
-                    batch_size,
-                    ..Default::default()
-                };
-                ccfg.eval.columnar_kernels = columnar_on;
-                let exec = algebra::build_cursor(&plan, &cat, None, &ccfg).unwrap();
-                let streamed = exec.collect().unwrap();
+            for flags in flag_grid() {
+                let got = materialized_and_streamed(&plan, &cat, flags, batch_size)?;
                 prop_assert_eq!(
-                    &streamed, &mat,
-                    "streamed != materialized (columnar {}, batch {}) on {:?}",
-                    columnar_on, batch_size, w.labels
+                    &got, &oracle,
+                    "cascade plan (seek {}, bulk {}) vs nested loop on {:?}",
+                    flags.use_skip_index, flags.columnar_kernels, w.labels
                 );
-                if let Some(prev) = &oracle {
-                    prop_assert_eq!(
-                        prev, &mat,
-                        "columnar kernels changed results on {:?}", w.labels
-                    );
-                } else {
-                    prop_assert_eq!(mat.tuples.len(), scalar.len());
-                    oracle = Some(mat);
-                }
             }
         }
     }
@@ -493,16 +467,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Structural joins over inputs that repeat node IDs across tuples
-    /// (as a view column legitimately does) stay exact on the default
-    /// seek-indexed path: the skip index is built over a *non-strictly*
-    /// pre-sorted stream, and duplicates straddling fence-block
-    /// boundaries must not cause over-pruning. skip-on, skip-off and the
-    /// nested-loop oracle must return identical relations.
+    /// (as a view column legitimately does) stay exact: streams are only
+    /// *non-strictly* pre-sorted, and duplicates straddling fence-block
+    /// boundaries must not cause over-pruning. The StackTree kernel at
+    /// block sizes 1, 2, 13 and 64 returns `nested_loop_pairs`' pairs,
+    /// and the planner returns the nested-loop relation, materialized
+    /// and streamed, under all four `{seek, bulk}` flag combinations.
     #[test]
     fn struct_join_with_duplicate_ids_matches_oracle(
         pair_sel in 0usize..5,
         dups in prop::collection::vec(0usize..3, 1..40),
         axis_sel in 0usize..2,
+        batch_pick in 0usize..4,
     ) {
         use algebra::{Catalog, JoinKind, LogicalPlan, Relation, Schema, Tuple, Value};
         let doc = generate::xmark(3, 7);
@@ -515,24 +491,43 @@ proptest! {
         ][pair_sel];
         let axis = if axis_sel == 1 { algebra::Axis::Child } else { algebra::Axis::Descendant };
 
-        // relations with each node ID repeated 1–3× in consecutive
-        // tuples (document order preserved, so streams arrive sorted
+        // streams with each node ID repeated 1–3× in consecutive
+        // positions (document order preserved, so streams arrive sorted
         // with duplicates — the layout that exercises block straddles)
-        let duplicated = |label: &str| {
-            let tuples: Vec<Tuple> = doc
-                .nodes_with_label(label, NodeKind::Element)
+        let duplicated = |label: &str| -> Vec<(xmltree::StructuralId, usize)> {
+            doc.nodes_with_label(label, NodeKind::Element)
                 .enumerate()
                 .flat_map(|(i, n)| {
-                    let sid = doc.structural_id(n);
-                    std::iter::repeat_with(move || Tuple::new(vec![Value::Id(sid)]))
-                        .take(1 + dups[i % dups.len()])
+                    std::iter::repeat_n(doc.structural_id(n), 1 + dups[i % dups.len()])
                 })
-                .collect();
+                .enumerate()
+                .map(|(pos, sid)| (sid, pos))
+                .collect()
+        };
+        let (anc, desc) = (duplicated(anc_l), duplicated(desc_l));
+        let mut want = algebra::nested_loop_pairs(&anc, &desc, axis);
+        want.sort_unstable();
+        for block in [1usize, 2, 13, 64] {
+            let ac = algebra::IdColumns::from_pairs(&anc, block);
+            let dc = algebra::IdColumns::from_pairs(&desc, block);
+            for flags in flag_grid() {
+                let mut got = algebra::stack_tree_pairs_columnar(&ac, &dc, axis, flags);
+                got.sort_unstable();
+                prop_assert_eq!(
+                    &got, &want,
+                    "{} {:?} {} (block {}, seek {}, bulk {}) dropped or invented pairs",
+                    anc_l, axis, desc_l, block, flags.use_skip_index, flags.columnar_kernels
+                );
+            }
+        }
+
+        let relation = |stream: &[(xmltree::StructuralId, usize)]| {
+            let tuples = stream.iter().map(|&(sid, _)| Tuple::new(vec![Value::Id(sid)])).collect();
             Relation::new(Schema::atoms(&["ID"]), tuples)
         };
         let mut cat = Catalog::new();
-        cat.insert("anc_dup", duplicated(anc_l));
-        cat.insert("desc_dup", duplicated(desc_l));
+        cat.insert("anc_dup", relation(&anc));
+        cat.insert("desc_dup", relation(&desc));
         let plan = LogicalPlan::scan("anc_dup").rename(&["A"]).struct_join(
             LogicalPlan::scan("desc_dup").rename(&["B"]),
             "A",
@@ -540,18 +535,14 @@ proptest! {
             axis,
             JoinKind::Inner,
         );
-
-        let mut oracle_ev = algebra::Evaluator::new(&cat);
-        oracle_ev.config.use_stacktree = false; // nested loop
-        let oracle = oracle_ev.eval(&plan).unwrap();
-        for skip_on in [true, false] {
-            let mut ev = algebra::Evaluator::new(&cat);
-            ev.config.use_skip_index = skip_on;
-            let got = ev.eval(&plan).unwrap();
+        let oracle = nested_loop_relation(&plan, &cat);
+        let batch_size = [1usize, 2, 7, 1024][batch_pick];
+        for flags in flag_grid() {
+            let got = materialized_and_streamed(&plan, &cat, flags, batch_size)?;
             prop_assert_eq!(
                 &got, &oracle,
-                "{} {:?} {} (skip {}) dropped or invented pairs",
-                anc_l, axis, desc_l, skip_on
+                "{} {:?} {} (seek {}, bulk {}) dropped or invented pairs",
+                anc_l, axis, desc_l, flags.use_skip_index, flags.columnar_kernels
             );
         }
     }

@@ -586,3 +586,58 @@ fn unix_socket_transport_works_end_to_end() {
     server.wait();
     assert!(!path.exists(), "socket file must be cleaned up on shutdown");
 }
+
+#[test]
+fn oversized_frame_closes_only_its_session() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::mpsc;
+    use uload::server::MAX_FRAME_BYTES;
+
+    let server = start(generate::xmark(2, 13), 64, ServerConfig::default());
+    let addr = match server.addr() {
+        BindAddr::Tcp(a) => a.clone(),
+        other => panic!("expected a TCP listener, got {other}"),
+    };
+    let mut healthy = Client::connect(server.addr()).unwrap();
+    let want = healthy.query(QUERY).unwrap().rows;
+    assert!(!want.is_empty());
+
+    // the hostile client sends exactly MAX_FRAME_BYTES with no newline,
+    // in two halves; the healthy session queries between the halves and
+    // after the hostile one was cut off
+    let (half_sent, half_seen) = mpsc::channel();
+    let (resume, resumed) = mpsc::channel::<()>();
+    let hostile = std::thread::spawn(move || {
+        let mut s = std::net::TcpStream::connect(&addr).unwrap();
+        let half = vec![b'x'; MAX_FRAME_BYTES / 2];
+        s.write_all(&half).unwrap();
+        half_sent.send(()).unwrap();
+        resumed.recv().unwrap();
+        s.write_all(&vec![b'x'; MAX_FRAME_BYTES - half.len()])
+            .unwrap();
+        let mut reader = BufReader::new(s);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let mut rest = String::new();
+        let eof = reader.read_line(&mut rest).unwrap();
+        (reply, eof)
+    });
+    half_seen.recv().unwrap();
+    assert_eq!(healthy.query(QUERY).unwrap().rows, want);
+    resume.send(()).unwrap();
+    let (reply, eof) = hostile.join().unwrap();
+    assert!(
+        reply.starts_with("ERR") && reply.contains("exceeds"),
+        "oversized frame must get an ERR frame, got {reply:?}"
+    );
+    assert_eq!(eof, 0, "the oversized session must be closed");
+    assert_eq!(healthy.query(QUERY).unwrap().rows, want);
+    let fresh = Client::connect(server.addr())
+        .unwrap()
+        .query(QUERY)
+        .unwrap();
+    assert_eq!(fresh.rows, want);
+    healthy.quit().unwrap();
+    server.shutdown();
+    server.wait();
+}
