@@ -1,35 +1,45 @@
-//! Volcano-style pipelined executor: `open` / `next_batch` / `close`
-//! cursors streaming vectorized [`TupleBatch`]es through the plan tree,
-//! so memory scales with the *resident* state (build sides, breaker
-//! buffers, one in-flight batch per operator) instead of with every
-//! intermediate relation, and `LIMIT`-style consumers can stop early.
+//! The pipelined executor: `open` / `next_batch` / `close` cursors
+//! streaming [`TupleBatch`]es through the plan tree. It is the one
+//! production executor: streamed answers pull it, and materialized
+//! answers drain it ([`StreamExec::collect`]). Memory scales with the
+//! *resident* state (build sides, breaker buffers, one in-flight batch
+//! per operator) instead of with every intermediate relation, and
+//! `LIMIT`-style consumers can stop early.
 //!
-//! The cursor compiler ([`build_cursor`]) classifies each
-//! [`LogicalPlan`] node:
+//! [`build_cursor`] compiles every [`LogicalPlan`] node once into a
+//! native batch operator from `op` — paths resolved, output
+//! schema computed, plan errors raised before the first pull — and the
+//! cursors keep that state across batches:
 //!
 //! * **streaming unary** (`Select`, duplicate-preserving `Project`,
 //!   `Unnest`, `XmlTemplate`, `Navigate`, `Fetch`, `DeriveAncestorId`,
-//!   `Rename`, `CastSchema`) — each child batch is evaluated through the
-//!   node as a one-level plan over a shadow catalog, reusing the
-//!   materialized [`Evaluator`] kernels verbatim (the same trick
-//!   `eval_profiled` uses), so the streamed semantics cannot drift from
-//!   the oracle;
+//!   `Rename`, `CastSchema`) — each child batch is mapped to an output
+//!   batch by the compiled operator;
 //! * **build–probe binary** (`Product`, `Join`, `StructJoin`,
-//!   `Difference`) — the right side is drained and kept resident once,
-//!   then left batches probe it (all these operators are per-left-tuple,
-//!   so batching the left preserves both results and order);
+//!   `Difference`) — the right side is drained once into the operator's
+//!   build (for `StructJoin`, its IDs packed into [`crate::IdColumns`]
+//!   once; for `Difference`, hashed once), then left batches probe it
+//!   (all these operators are per-left-tuple, so batching the left
+//!   preserves both results and order);
 //! * **`Union`** — left exhausted first, then right, pass-through;
 //! * **`TwigJoin`** — inputs are drained (they are base ID streams in
 //!   fused plans), the holistic merge enumerates solution index vectors,
 //!   and output tuples are assembled batch by batch; shapes the holistic
-//!   operator does not cover fall back to a one-shot cascade evaluation,
-//!   exactly like the oracle;
+//!   operator does not cover fall back to a one-shot cascade evaluation
+//!   by the [`Evaluator`], exactly like the oracle;
 //! * **pipeline breakers** (`Project` with `distinct`, `GroupBy`,
-//!   `Sort`, `NestAll`) — the input is materialized, the node evaluated
+//!   `Sort`, `NestAll`) — the input is materialized, the operator run
 //!   once, and the result streamed out. A single-key `Sort` directly
 //!   over a base scan whose declared [`crate::OrderSpec`] already
 //!   satisfies the key is elided (stable sort of sorted input is the
 //!   identity).
+//!
+//! Each child is built knowing which columns its parent reads
+//! (`op::child_demands`); a `Navigate` whose `<prefix>_Val` or
+//! `<prefix>_Cont` nobody reads neither computes nor emits it. A parent
+//! resolves its columns against the child's actual schema, so a demand
+//! bug is an [`EvalError::UnknownAttribute`] at build time, never a
+//! wrong row.
 //!
 //! `close()` propagates cancellation down the tree: children are closed,
 //! resident state is released, and every further `next_batch` returns
@@ -43,8 +53,10 @@ use obs::{ExecMetrics, StatsStore};
 use xmltree::Document;
 
 use crate::eval::{
-    twig_shape, twig_solutions, Catalog, EvalConfig, EvalError, Evaluator, Relation, TwigShape,
+    check_union, solution_tuple, twig_shape, twig_solutions, Catalog, EvalConfig, EvalError,
+    Evaluator, Relation, TwigShape,
 };
+use crate::op::{child_demands, struct_join_schema, Binary, Breaker, Build, Demand, Unary};
 use crate::plan::{LogicalPlan, TwigStep};
 use crate::value::{Schema, Tuple};
 
@@ -148,8 +160,14 @@ impl Mon {
         TupleBatch::new(tuples)
     }
 
-    /// A metrics slot for a per-batch [`Evaluator`], `None` when
-    /// profiling is off (the kernels then run the unmetered path).
+    /// The operator's kernel counters, `None` when profiling is off (the
+    /// kernels then run the unmetered path).
+    fn metrics(&self) -> Option<&RefCell<ExecMetrics>> {
+        self.cells.as_deref().map(|c| &c.metrics)
+    }
+
+    /// A metrics slot for the twig operator's one-shot cascade
+    /// [`Evaluator`], `None` when profiling is off.
     fn metrics_slot(&self) -> Option<RefCell<ExecMetrics>> {
         self.cells
             .as_ref()
@@ -346,9 +364,11 @@ pub fn pipeline_breakers(plan: &LogicalPlan) -> Vec<String> {
 // the cursor compiler
 
 /// Compile `plan` into a cursor tree over `catalog` (plus optional
-/// source document for navigation operators). Schema resolution and
-/// plan validation happen *here*, by probing every node over empty
-/// inputs — the returned executor only then streams batches on demand.
+/// source document for navigation operators). Every operator is
+/// compiled here against its input schemas — paths resolved, output
+/// schemas computed, plan errors raised — and each child is told which
+/// columns its parent reads (see `op::child_demands`); the
+/// returned executor only then streams batches on demand.
 pub fn build_cursor<'a>(
     plan: &LogicalPlan,
     catalog: &'a Catalog,
@@ -362,7 +382,7 @@ pub fn build_cursor<'a>(
         residency: Rc::new(Residency::default()),
         ops: Vec::new(),
     };
-    let root = b.build(plan)?;
+    let root = b.build(plan, &Demand::All)?;
     Ok(StreamExec {
         root,
         residency: b.residency,
@@ -404,23 +424,25 @@ impl<'a> Builder<'a> {
         self.cfg.batch_size.max(1)
     }
 
-    /// Schema (and eager validation) of a one-level plan, probed over
-    /// empty stand-in inputs.
-    fn probe(&self, one_level: &LogicalPlan, ins: &[(&str, &Schema)]) -> Result<Schema, EvalError> {
-        let mut cat = Catalog::new();
-        for (n, s) in ins {
-            cat.insert(*n, Relation::empty((*s).clone()));
-        }
-        let ev = Evaluator {
-            catalog: &cat,
-            doc: self.doc,
-            config: self.cfg.eval,
-            metrics: None,
-        };
-        Ok(ev.eval(one_level)?.schema)
+    /// Build `plan`'s children, each with the demand `plan` places on
+    /// it.
+    fn children(
+        &mut self,
+        plan: &LogicalPlan,
+        demand: &Demand,
+    ) -> Result<Vec<Box<dyn Cursor + 'a>>, EvalError> {
+        plan.child_plans()
+            .into_iter()
+            .zip(child_demands(plan, demand))
+            .map(|(c, d)| self.build(c, &d))
+            .collect()
     }
 
-    fn build(&mut self, plan: &LogicalPlan) -> Result<Box<dyn Cursor + 'a>, EvalError> {
+    fn build(
+        &mut self,
+        plan: &LogicalPlan,
+        demand: &Demand,
+    ) -> Result<Box<dyn Cursor + 'a>, EvalError> {
         use LogicalPlan::*;
         match plan {
             Scan { relation } => {
@@ -450,26 +472,22 @@ impl<'a> Builder<'a> {
                                     "Sort({}) elided: declared order of `{relation}` satisfies it",
                                     by[0].as_str()
                                 );
-                                return self.build(input);
+                                return self.build(input, demand);
                             }
                         }
                     }
                 }
-                self.breaker(plan)
+                self.breaker(plan, demand)
             }
-            Project { distinct: true, .. } | GroupBy { .. } | NestAll { .. } => self.breaker(plan),
+            Project { distinct: true, .. } | GroupBy { .. } | NestAll { .. } => {
+                self.breaker(plan, demand)
+            }
             Union { .. } => {
                 let mon = self.mon(plan);
-                let kids = plan.child_plans();
-                let left = self.build(kids[0])?;
-                let right = self.build(kids[1])?;
-                let one_level =
-                    plan.with_child_plans(vec![LogicalPlan::scan("__l"), LogicalPlan::scan("__r")]);
-                // probe for the arity check the oracle applies
-                self.probe(
-                    &one_level,
-                    &[("__l", left.schema()), ("__r", right.schema())],
-                )?;
+                let mut kids = self.children(plan, demand)?;
+                let right = kids.pop().expect("union has two inputs");
+                let left = kids.pop().expect("union has two inputs");
+                check_union(left.schema(), right.schema())?;
                 Ok(Box::new(UnionCursor {
                     left,
                     right,
@@ -478,9 +496,24 @@ impl<'a> Builder<'a> {
                     closed: false,
                 }))
             }
-            TwigJoin { root, steps } => self.twig(plan, root, steps),
+            TwigJoin { root, steps } => self.twig(plan, root, steps, demand),
             Product { .. } | Join { .. } | StructJoin { .. } | Difference { .. } => {
-                self.binary(plan)
+                let mon = self.mon(plan);
+                let mut kids = self.children(plan, demand)?;
+                let right = kids.pop().expect("binary operator has two inputs");
+                let left = kids.pop().expect("binary operator has two inputs");
+                let op = Binary::compile(plan, left.schema(), right.schema())?;
+                Ok(Box::new(BinaryCursor {
+                    left,
+                    right: Some(right),
+                    op,
+                    build: None,
+                    eval: self.cfg.eval,
+                    batch: self.batch(),
+                    spill: Spill::default(),
+                    mon,
+                    closed: false,
+                }))
             }
             Select { .. }
             | Project { .. }
@@ -490,83 +523,37 @@ impl<'a> Builder<'a> {
             | Fetch { .. }
             | DeriveAncestorId { .. }
             | Rename { .. }
-            | CastSchema { .. } => self.unary(plan),
+            | CastSchema { .. } => {
+                let mon = self.mon(plan);
+                let child = self.children(plan, demand)?.pop().expect("one input");
+                let op = Unary::compile(plan, child.schema(), demand, self.doc)?;
+                Ok(Box::new(MapCursor {
+                    child,
+                    op,
+                    batch: self.batch(),
+                    spill: Spill::default(),
+                    mon,
+                    closed: false,
+                }))
+            }
         }
     }
 
-    fn unary(&mut self, plan: &LogicalPlan) -> Result<Box<dyn Cursor + 'a>, EvalError> {
+    fn breaker(
+        &mut self,
+        plan: &LogicalPlan,
+        demand: &Demand,
+    ) -> Result<Box<dyn Cursor + 'a>, EvalError> {
         let mon = self.mon(plan);
-        let kids = plan.child_plans();
-        debug_assert_eq!(kids.len(), 1);
-        let child = self.build(kids[0])?;
-        let one_level = plan.with_child_plans(vec![LogicalPlan::scan("__in")]);
-        let schema = self.probe(&one_level, &[("__in", child.schema())])?;
-        let in_schema = child.schema().clone();
-        Ok(Box::new(MapCursor {
-            child,
-            in_schema,
-            one_level,
-            schema,
-            batch: self.batch(),
-            spill: Spill::default(),
-            doc: self.doc,
-            eval: self.cfg.eval,
-            mon,
-            closed: false,
-        }))
-    }
-
-    fn binary(&mut self, plan: &LogicalPlan) -> Result<Box<dyn Cursor + 'a>, EvalError> {
-        let mon = self.mon(plan);
-        let kids = plan.child_plans();
-        debug_assert_eq!(kids.len(), 2);
-        let left = self.build(kids[0])?;
-        let right = self.build(kids[1])?;
-        let one_level =
-            plan.with_child_plans(vec![LogicalPlan::scan("__l"), LogicalPlan::scan("__r")]);
-        let schema = self.probe(
-            &one_level,
-            &[("__l", left.schema()), ("__r", right.schema())],
-        )?;
-        let left_schema = left.schema().clone();
-        let mut cat = Catalog::new();
-        cat.insert("__r", Relation::empty(right.schema().clone()));
-        Ok(Box::new(BinaryCursor {
-            left,
-            right: Some(right),
-            right_rows: 0,
-            cat,
-            one_level,
-            schema,
-            left_schema,
-            batch: self.batch(),
-            spill: Spill::default(),
-            doc: self.doc,
-            eval: self.cfg.eval,
-            mon,
-            closed: false,
-        }))
-    }
-
-    fn breaker(&mut self, plan: &LogicalPlan) -> Result<Box<dyn Cursor + 'a>, EvalError> {
-        let mon = self.mon(plan);
-        let kids = plan.child_plans();
-        debug_assert_eq!(kids.len(), 1);
-        let child = self.build(kids[0])?;
-        let one_level = plan.with_child_plans(vec![LogicalPlan::scan("__in")]);
-        let schema = self.probe(&one_level, &[("__in", child.schema())])?;
-        let in_schema = child.schema().clone();
+        let child = self.children(plan, demand)?.pop().expect("one input");
+        let op = Breaker::compile(plan, child.schema())?;
         Ok(Box::new(BreakerCursor {
             child,
-            in_schema,
-            one_level,
-            schema,
+            op,
             out: Vec::new(),
             pos: 0,
             materialized: false,
             batch: self.batch(),
-            doc: self.doc,
-            eval: self.cfg.eval,
             mon,
             closed: false,
         }))
@@ -577,38 +564,33 @@ impl<'a> Builder<'a> {
         plan: &LogicalPlan,
         root: &LogicalPlan,
         steps: &[TwigStep],
+        demand: &Demand,
     ) -> Result<Box<dyn Cursor + 'a>, EvalError> {
         if steps.is_empty() {
-            return self.build(root);
+            return self.build(root, demand);
         }
         let mon = self.mon(plan);
-        let mut children = Vec::with_capacity(steps.len() + 1);
-        children.push(self.build(root)?);
-        for s in steps {
-            children.push(self.build(&s.input)?);
-        }
+        let children = self.children(plan, demand)?;
         let schemas: Vec<&Schema> = children.iter().map(|c| c.schema()).collect();
         let shape = if self.cfg.eval.use_twigstack {
             twig_shape(&schemas, steps)
         } else {
             None
         };
+        let schema = match &shape {
+            Some(s) => s.schema.clone(),
+            // the one-shot fallback evaluates the binary cascade, whose
+            // schema (and errors) the fold of its joins gives
+            None => steps
+                .iter()
+                .zip(&schemas[1..])
+                .try_fold(schemas[0].clone(), |acc, (s, r)| {
+                    struct_join_schema(&acc, r, &s.parent_attr, &s.attr)
+                })?,
+        };
         let names: Vec<String> = (0..children.len()).map(|k| format!("__t{k}")).collect();
         let one_level =
             plan.with_child_plans(names.iter().map(|n| LogicalPlan::scan(n.clone())).collect());
-        let schema = match &shape {
-            Some(s) => s.schema.clone(),
-            None => {
-                // the one-shot fallback path re-enters `eval`, which
-                // detects the uncovered shape itself and cascades
-                let ins: Vec<(&str, &Schema)> = names
-                    .iter()
-                    .map(|n| n.as_str())
-                    .zip(schemas.iter().copied())
-                    .collect();
-                self.probe(&one_level, &ins)?
-            }
-        };
         Ok(Box::new(TwigCursor {
             children,
             steps: steps.to_vec(),
@@ -671,10 +653,10 @@ impl Cursor for ScanCursor<'_> {
     }
 }
 
-/// Bounded-output staging shared by the streaming cursors: a per-batch
-/// evaluation can produce more than `batch_size` rows (joins multiply),
+/// Bounded-output staging shared by the cursors: one input batch can
+/// produce more than `batch_size` rows (joins and navigation multiply),
 /// so the surplus is held here — accounted on the residency gauge — and
-/// emitted one bounded batch at a time. Without this, a single fat
+/// moved out one bounded batch at a time. Without this, a single fat
 /// input batch would ride through the whole pipeline as one giant
 /// batch, defeating the executor's memory bound.
 #[derive(Default)]
@@ -688,19 +670,27 @@ impl Spill {
         self.pos >= self.out.len()
     }
 
-    /// Park an oversized evaluation output; every row counts as resident
-    /// until emitted (or cleared on close).
-    fn stage(&mut self, mon: &Mon, tuples: Vec<Tuple>) {
+    /// Emit `tuples` as one batch if they fit, else park them (every
+    /// parked row counts as resident until emitted or cleared on close)
+    /// and emit the first bounded batch.
+    fn emit(&mut self, mon: &Mon, tuples: Vec<Tuple>, batch: usize) -> TupleBatch {
         debug_assert!(self.is_empty());
+        if tuples.len() <= batch {
+            return mon.emit(tuples);
+        }
         mon.residency.alloc(tuples.len());
         self.out = tuples;
         self.pos = 0;
+        self.emit_next(mon, batch)
     }
 
-    /// Emit the next bounded batch from the parked rows.
+    /// Move the next bounded batch out of the parked rows.
     fn emit_next(&mut self, mon: &Mon, batch: usize) -> TupleBatch {
         let hi = (self.pos + batch.max(1)).min(self.out.len());
-        let tuples = self.out[self.pos..hi].to_vec();
+        let tuples: Vec<Tuple> = self.out[self.pos..hi]
+            .iter_mut()
+            .map(std::mem::take)
+            .collect();
         mon.residency.free(tuples.len());
         self.pos = hi;
         if self.is_empty() {
@@ -717,25 +707,20 @@ impl Spill {
     }
 }
 
-/// Streaming unary operator: each child batch runs through the node as
-/// a one-level plan over a shadow catalog (`__in` = the batch); output
-/// larger than one batch drains through the [`Spill`].
+/// Streaming unary operator: each child batch runs through the compiled
+/// operator; output larger than one batch drains through the [`Spill`].
 struct MapCursor<'a> {
     child: Box<dyn Cursor + 'a>,
-    in_schema: Schema,
-    one_level: LogicalPlan,
-    schema: Schema,
+    op: Unary<'a>,
     batch: usize,
     spill: Spill,
-    doc: Option<&'a Document>,
-    eval: EvalConfig,
     mon: Mon,
     closed: bool,
 }
 
 impl Cursor for MapCursor<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.op.schema
     }
 
     fn open(&mut self) -> Result<(), EvalError> {
@@ -754,22 +739,10 @@ impl Cursor for MapCursor<'_> {
             let Some(batch) = self.child.next_batch()? else {
                 return Ok(None);
             };
-            let mut cat = Catalog::new();
-            cat.insert("__in", Relation::new(self.in_schema.clone(), batch.tuples));
-            let ev = Evaluator {
-                catalog: &cat,
-                doc: self.doc,
-                config: self.eval,
-                metrics: self.mon.metrics_slot(),
-            };
-            let out = ev.eval(&self.one_level)?;
-            if let Some(m) = ev.metrics {
-                self.mon.absorb(m.into_inner());
-            }
+            let out = self.op.apply(batch.tuples);
             // a filtered-empty batch is not end-of-stream: keep pulling
-            if !out.tuples.is_empty() {
-                self.spill.stage(&self.mon, out.tuples);
-                return Ok(Some(self.spill.emit_next(&self.mon, self.batch)));
+            if !out.is_empty() {
+                return Ok(Some(self.spill.emit(&self.mon, out, self.batch)));
             }
         }
     }
@@ -785,30 +758,25 @@ impl Cursor for MapCursor<'_> {
     }
 }
 
-/// Build–probe binary operator: the right side is drained into the
-/// shadow catalog once (`__r`, resident until close), then every left
-/// batch probes it as `__l`, oversized probe output draining through
-/// the [`Spill`]. Correct for every operator whose output is a
-/// per-left-tuple function of the whole right side.
+/// Build–probe binary operator: the right side is drained once into the
+/// operator's [`Build`] (resident until close; for `StructJoin` its IDs
+/// are packed into [`crate::IdColumns`] once), then every left batch
+/// probes it, oversized probe output draining through the [`Spill`].
 struct BinaryCursor<'a> {
     left: Box<dyn Cursor + 'a>,
     right: Option<Box<dyn Cursor + 'a>>,
-    right_rows: usize,
-    cat: Catalog,
-    one_level: LogicalPlan,
-    schema: Schema,
-    left_schema: Schema,
+    op: Binary,
+    build: Option<Build>,
+    eval: EvalConfig,
     batch: usize,
     spill: Spill,
-    doc: Option<&'a Document>,
-    eval: EvalConfig,
     mon: Mon,
     closed: bool,
 }
 
 impl Cursor for BinaryCursor<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.op.schema
     }
 
     fn open(&mut self) -> Result<(), EvalError> {
@@ -832,31 +800,20 @@ impl Cursor for BinaryCursor<'_> {
             while let Some(b) = r.next_batch()? {
                 tuples.extend(b.tuples);
             }
-            let rs = r.schema().clone();
             r.close();
-            self.right_rows = tuples.len();
             self.mon.residency.alloc(tuples.len());
-            self.cat.insert("__r", Relation::new(rs, tuples));
+            self.build = Some(self.op.build(tuples, self.eval)?);
         }
+        let build = self.build.as_ref().expect("built above");
         loop {
             let Some(batch) = self.left.next_batch()? else {
                 return Ok(None);
             };
-            self.cat
-                .insert("__l", Relation::new(self.left_schema.clone(), batch.tuples));
-            let ev = Evaluator {
-                catalog: &self.cat,
-                doc: self.doc,
-                config: self.eval,
-                metrics: self.mon.metrics_slot(),
-            };
-            let out = ev.eval(&self.one_level)?;
-            if let Some(m) = ev.metrics {
-                self.mon.absorb(m.into_inner());
-            }
-            if !out.tuples.is_empty() {
-                self.spill.stage(&self.mon, out.tuples);
-                return Ok(Some(self.spill.emit_next(&self.mon, self.batch)));
+            let out = self
+                .op
+                .probe(build, batch.tuples, self.eval, self.mon.metrics())?;
+            if !out.is_empty() {
+                return Ok(Some(self.spill.emit(&self.mon, out, self.batch)));
             }
         }
     }
@@ -870,8 +827,9 @@ impl Cursor for BinaryCursor<'_> {
         if let Some(r) = &mut self.right {
             r.close();
         }
-        self.mon.residency.free(self.right_rows);
-        self.right_rows = 0;
+        if let Some(b) = self.build.take() {
+            self.mon.residency.free(b.tuples.len());
+        }
         self.spill.clear(&self.mon);
         self.mon.finish();
     }
@@ -926,26 +884,30 @@ impl Cursor for UnionCursor<'_> {
     }
 }
 
-/// Pipeline breaker: materialize the input, evaluate the node once,
+/// Move the next bounded batch out of a buffered result.
+fn take_batch(out: &mut [Tuple], pos: &mut usize, batch: usize) -> Vec<Tuple> {
+    let hi = (*pos + batch).min(out.len());
+    let tuples = out[*pos..hi].iter_mut().map(std::mem::take).collect();
+    *pos = hi;
+    tuples
+}
+
+/// Pipeline breaker: materialize the input, run the operator once,
 /// stream the buffered result out batch by batch.
 struct BreakerCursor<'a> {
     child: Box<dyn Cursor + 'a>,
-    in_schema: Schema,
-    one_level: LogicalPlan,
-    schema: Schema,
+    op: Breaker,
     out: Vec<Tuple>,
     pos: usize,
     materialized: bool,
     batch: usize,
-    doc: Option<&'a Document>,
-    eval: EvalConfig,
     mon: Mon,
     closed: bool,
 }
 
 impl Cursor for BreakerCursor<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.op.schema
     }
 
     fn open(&mut self) -> Result<(), EvalError> {
@@ -966,29 +928,15 @@ impl Cursor for BreakerCursor<'_> {
             }
             let n_in = tuples.len();
             self.child.close();
-            let mut cat = Catalog::new();
-            cat.insert("__in", Relation::new(self.in_schema.clone(), tuples));
-            let ev = Evaluator {
-                catalog: &cat,
-                doc: self.doc,
-                config: self.eval,
-                metrics: self.mon.metrics_slot(),
-            };
-            let out = ev.eval(&self.one_level)?;
-            if let Some(m) = ev.metrics {
-                self.mon.absorb(m.into_inner());
-            }
+            self.out = self.op.apply(tuples);
             self.mon.residency.free(n_in);
-            self.mon.residency.alloc(out.tuples.len());
-            self.out = out.tuples;
+            self.mon.residency.alloc(self.out.len());
         }
         if self.pos >= self.out.len() {
             return Ok(None);
         }
-        let hi = (self.pos + self.batch).min(self.out.len());
-        let tuples = self.out[self.pos..hi].to_vec();
+        let tuples = take_batch(&mut self.out, &mut self.pos, self.batch);
         self.mon.residency.free(tuples.len());
-        self.pos = hi;
         Ok(Some(self.mon.emit(tuples)))
     }
 
@@ -1098,12 +1046,8 @@ impl Cursor for TwigCursor<'_> {
             };
             self.state = match &self.shape {
                 Some(shape) if !fall_over => {
-                    let slot = self.mon.metrics_slot();
                     let solutions =
-                        twig_solutions(&rels, shape, &self.steps, self.eval, slot.as_ref())?;
-                    if let Some(s) = slot {
-                        self.mon.absorb(s.into_inner());
-                    }
+                        twig_solutions(&rels, shape, &self.steps, self.eval, self.mon.metrics())?;
                     TwigState::Stream {
                         rels,
                         solutions,
@@ -1158,11 +1102,7 @@ impl Cursor for TwigCursor<'_> {
                 let hi = (*pos + self.batch).min(solutions.len());
                 let mut tuples = Vec::with_capacity(hi - *pos);
                 for sol in &solutions[*pos..hi] {
-                    let mut t = rels[0].tuples[sol[0]].clone();
-                    for (j, &i) in sol.iter().enumerate().skip(1) {
-                        t = t.concat(&rels[j].tuples[i]);
-                    }
-                    tuples.push(t);
+                    tuples.push(solution_tuple(rels, sol));
                 }
                 *pos = hi;
                 Ok(Some(self.mon.emit(tuples)))
@@ -1172,10 +1112,8 @@ impl Cursor for TwigCursor<'_> {
                     self.state = TwigState::Done;
                     return Ok(None);
                 }
-                let hi = (*pos + self.batch).min(out.len());
-                let tuples = out[*pos..hi].to_vec();
+                let tuples = take_batch(out, pos, self.batch);
                 self.mon.residency.free(tuples.len());
-                *pos = hi;
                 Ok(Some(self.mon.emit(tuples)))
             }
             TwigState::Done => Ok(None),
@@ -1206,8 +1144,9 @@ impl Cursor for TwigCursor<'_> {
 mod tests {
     use super::*;
     use crate::eval::{tag_derived, tag_derived_attr};
-    use crate::plan::{Axis, CmpOp, JoinKind, Predicate};
+    use crate::plan::{Axis, CmpOp, JoinKind, NavMode, Path, Predicate};
     use crate::value::Value;
+    use crate::xmlgen::Template;
     use crate::OrderSpec;
     use xmltree::generate::bib_sample;
     use xmltree::Document;
@@ -1530,6 +1469,74 @@ mod tests {
             build_cursor(&bad, &cat, Some(&doc), &CursorConfig::default()).err(),
             Some(EvalError::UnknownAttribute(_))
         ));
+        // a template splicing a column its input lacks fails loudly
+        let bad = LogicalPlan::XmlTemplate {
+            input: Box::new(LogicalPlan::scan("book").project(&["ID"])),
+            templ: Template::elem("r", vec![Template::attr("Val")]),
+        };
+        assert!(matches!(
+            build_cursor(&bad, &cat, Some(&doc), &CursorConfig::default()).err(),
+            Some(EvalError::UnknownAttribute(a)) if a == "Val"
+        ));
+    }
+
+    /// Schema of `parent`'s first child when built under the demand
+    /// `parent` places on it (the root demands everything of `parent`).
+    fn child_schema(parent: &LogicalPlan, cat: &Catalog, doc: &Document) -> Schema {
+        let mut b = Builder {
+            catalog: cat,
+            doc: Some(doc),
+            cfg: CursorConfig::default(),
+            residency: Rc::new(Residency::default()),
+            ops: Vec::new(),
+        };
+        let demand = child_demands(parent, &Demand::All).remove(0);
+        b.build(parent.child_plans()[0], &demand)
+            .unwrap()
+            .schema()
+            .clone()
+    }
+
+    #[test]
+    fn navigate_computes_only_demanded_columns() {
+        let (doc, cat) = setup();
+        let nav = LogicalPlan::Navigate {
+            input: Box::new(LogicalPlan::scan("book")),
+            from_attr: Path::new("ID"),
+            axis: Axis::Child,
+            label: "author".into(),
+            as_prefix: "a".into(),
+            mode: NavMode::Flat,
+        };
+        let names =
+            |s: &Schema| -> Vec<String> { s.fields.iter().map(|f| f.name.clone()).collect() };
+        let base = ["ID", "Tag", "Val", "Cont"];
+
+        // a Project reading only the ID: no _Val/_Cont computed or emitted
+        let ids_only = nav.clone().project(&["a_ID"]);
+        let got = child_schema(&ids_only, &cat, &doc);
+        assert_eq!(names(&got), [&base[..], &["a_ID"]].concat());
+        assert_streams(&ids_only, &cat, Some(&doc));
+        // a Project reading the content keeps exactly that column
+        let cont = nav.clone().project(&["ID", "a_Cont"]);
+        let got = child_schema(&cont, &cat, &doc);
+        assert_eq!(names(&got), [&base[..], &["a_ID", "a_Cont"]].concat());
+        assert_streams(&cont, &cat, Some(&doc));
+
+        // positional or whole-tuple parents keep all three
+        let all = [&base[..], &["a_ID", "a_Val", "a_Cont"]].concat();
+        let parents = [
+            LogicalPlan::XmlTemplate {
+                input: Box::new(nav.clone()),
+                templ: Template::elem("r", vec![Template::attr("a_ID")]),
+            },
+            nav.clone().union(nav.clone()),
+            nav.clone().rename(&["i", "t", "v", "c", "x", "y", "z"]),
+        ];
+        for parent in &parents {
+            assert_eq!(names(&child_schema(parent, &cat, &doc)), all, "{parent}");
+            assert_streams(parent, &cat, Some(&doc));
+        }
     }
 
     /// A child that counts how many times it is pulled — the probe for
@@ -1577,16 +1584,12 @@ mod tests {
             inner: Box::new(scan),
             pulls: Rc::clone(&pulls),
         };
-        let plan = LogicalPlan::scan("__in").select(Predicate::True);
+        let plan = LogicalPlan::scan("author").select(Predicate::True);
         let mut cur = MapCursor {
             child: Box::new(probe),
-            in_schema: rel.schema.clone(),
-            one_level: plan,
-            schema: rel.schema.clone(),
+            op: Unary::compile(&plan, &rel.schema, &Demand::All, None).unwrap(),
             batch: 1,
             spill: Spill::default(),
-            doc: None,
-            eval: EvalConfig::default(),
             mon: mon(&residency),
             closed: false,
         };

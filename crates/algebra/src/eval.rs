@@ -2,30 +2,32 @@
 //! [`Catalog`] of stored nested relations, optionally backed by the source
 //! [`Document`] for navigation and ancestor-ID derivation.
 //!
+//! [`Evaluator::eval`] materializes every intermediate relation. It is
+//! the reference oracle of the pipelined executor ([`crate::cursor`],
+//! which serves every query) and runs the same compiled operators
+//! (`op`) over whole relations, so the row logic exists once.
+//!
 //! Physical choices: structural joins run the `StackTree` merge when inputs
 //! are (or are made) ID-sorted, with a nested-loop fallback selectable via
-//! [`EvalConfig`] for the ablation benches; value equi-joins use an
-//! in-memory hash table; `GroupBy` uses a hash table preserving first-seen
-//! group order; `Sort_φ` is a stable comparison sort.
+//! [`EvalConfig`] for the ablation benches; value joins are nested loops
+//! over the compiled predicate; `π°` and `\` hash tuples in place;
+//! `GroupBy` uses a hash table preserving first-seen group order; `Sort_φ`
+//! is a stable comparison sort.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
 use obs::{ExecMetrics, Meter, OpProfile};
 use xmltree::{Document, NodeId, NodeKind, StructuralId};
 
-use crate::order::{tuple_cmp_all, value_cmp, OrderSpec};
-use crate::plan::{
-    Axis, CmpOp, FetchWhat, JoinKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep,
-};
+use crate::op::{gather_ids, packable, Binary, Breaker, Demand, ProjSpec, Unary};
+use crate::order::OrderSpec;
+use crate::plan::{LogicalPlan, Path, TwigStep};
 use crate::simd::{IdColumns, DEFAULT_BLOCK};
-use crate::stacktree::{
-    nested_loop_pairs, stack_tree_pairs_columnar, stack_tree_pairs_columnar_metered,
-};
 use crate::twig::{twig_join_columnar, twig_join_columnar_metered, twig_to_cascade, TwigPattern};
-use crate::value::{Collection, Field, FieldKind, Schema, Tuple, Value};
+use crate::value::{Schema, Tuple, Value};
 
 /// A materialized nested relation: schema + tuples (list semantics).
 #[derive(Debug, Clone, PartialEq)]
@@ -202,7 +204,10 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluate a logical plan to a materialized relation.
+    /// Evaluate a logical plan to a materialized relation: the
+    /// reference oracle of the pipelined executor. Each node runs the
+    /// same compiled operator (`op`) the cursors run, over its
+    /// whole input at once and with every column demanded.
     pub fn eval(&self, plan: &LogicalPlan) -> Result<Relation, EvalError> {
         use LogicalPlan::*;
         match plan {
@@ -211,501 +216,51 @@ impl<'a> Evaluator<'a> {
                 .get(relation)
                 .cloned()
                 .ok_or_else(|| EvalError::UnknownRelation(relation.clone())),
-            Select { input, pred } => {
-                let rel = self.eval(input)?;
-                self.eval_select(rel, pred)
-            }
-            Project {
-                input,
-                cols,
-                distinct,
-            } => {
-                let rel = self.eval(input)?;
-                self.eval_project(rel, cols, *distinct)
-            }
-            Product { left, right } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                let schema = l.schema.concat(&r.schema);
-                let mut tuples = Vec::with_capacity(l.len() * r.len());
-                for lt in &l.tuples {
-                    for rt in &r.tuples {
-                        tuples.push(lt.concat(rt));
-                    }
-                }
-                Ok(Relation::new(schema, tuples))
-            }
-            Join {
-                left,
-                right,
-                pred,
-                kind,
-            } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                self.eval_value_join(l, r, pred, *kind)
-            }
-            StructJoin {
-                left,
-                right,
-                left_attr,
-                right_attr,
-                axis,
-                kind,
-                nest_as,
-            } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                self.eval_struct_join(
-                    l,
-                    r,
-                    left_attr,
-                    right_attr,
-                    *axis,
-                    *kind,
-                    nest_as.as_deref(),
-                )
-            }
             TwigJoin { root, steps } => self.eval_twig_join(root, steps),
             Union { left, right } => {
                 let mut l = self.eval(left)?;
                 let r = self.eval(right)?;
-                if l.schema.arity() != r.schema.arity() {
-                    return Err(EvalError::TypeError(format!(
-                        "union arity mismatch: {} vs {}",
-                        l.schema.arity(),
-                        r.schema.arity()
-                    )));
-                }
+                check_union(&l.schema, &r.schema)?;
                 l.tuples.extend(r.tuples);
                 Ok(l)
             }
-            Difference { left, right } => {
+            Product { left, right }
+            | Join { left, right, .. }
+            | StructJoin { left, right, .. }
+            | Difference { left, right } => {
                 let l = self.eval(left)?;
                 let r = self.eval(right)?;
-                let keep: Vec<Tuple> = l
-                    .tuples
-                    .into_iter()
-                    .filter(|t| {
-                        !r.tuples
-                            .iter()
-                            .any(|rt| tuple_cmp_all(t, rt) == std::cmp::Ordering::Equal)
-                    })
-                    .collect();
-                Ok(Relation::new(l.schema, keep))
+                let op = Binary::compile(plan, &l.schema, &r.schema)?;
+                let build = op.build(r.tuples, self.config)?;
+                let tuples = op.probe(&build, l.tuples, self.config, self.metrics.as_ref())?;
+                Ok(Relation::new(op.schema, tuples))
             }
-            GroupBy {
+            Project {
+                distinct: true,
                 input,
-                keys,
-                nest_as,
-            } => {
+                ..
+            }
+            | GroupBy { input, .. }
+            | Sort { input, .. }
+            | NestAll { input, .. } => {
                 let rel = self.eval(input)?;
-                self.eval_group_by(rel, keys, nest_as)
+                let op = Breaker::compile(plan, &rel.schema)?;
+                let tuples = op.apply(rel.tuples);
+                Ok(Relation::new(op.schema, tuples))
             }
-            Unnest { input, attr } => {
+            Select { input, .. }
+            | Project { input, .. }
+            | Unnest { input, .. }
+            | XmlTemplate { input, .. }
+            | Navigate { input, .. }
+            | Fetch { input, .. }
+            | DeriveAncestorId { input, .. }
+            | CastSchema { input, .. }
+            | Rename { input, .. } => {
                 let rel = self.eval(input)?;
-                self.eval_unnest(rel, attr)
-            }
-            NestAll { input, as_name } => {
-                let rel = self.eval(input)?;
-                let inner = rel.schema.clone();
-                let schema = Schema::new(vec![Field::nested(as_name.clone(), inner)]);
-                let tuple = Tuple::new(vec![Value::Coll(Collection::list(rel.tuples))]);
-                Ok(Relation::new(schema, vec![tuple]))
-            }
-            Sort { input, by } => {
-                let mut rel = self.eval(input)?;
-                let idxs: Vec<Vec<usize>> = by
-                    .iter()
-                    .map(|p| resolve(&rel.schema, p))
-                    .collect::<Result<_, _>>()?;
-                rel.tuples.sort_by(|a, b| {
-                    for idx in &idxs {
-                        let va = flat_value(a, idx);
-                        let vb = flat_value(b, idx);
-                        let c = value_cmp(&va, &vb);
-                        if c != std::cmp::Ordering::Equal {
-                            return c;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                Ok(rel)
-            }
-            XmlTemplate { input, templ } => {
-                let rel = self.eval(input)?;
-                let schema = Schema::atoms(&["xml"]);
-                let tuples = rel
-                    .tuples
-                    .iter()
-                    .map(|t| {
-                        let mut out = String::new();
-                        templ.render(&rel.schema, t, &mut out);
-                        Tuple::new(vec![Value::str(out)])
-                    })
-                    .collect();
-                Ok(Relation::new(schema, tuples))
-            }
-            Navigate {
-                input,
-                from_attr,
-                axis,
-                label,
-                as_prefix,
-                mode,
-            } => {
-                let rel = self.eval(input)?;
-                self.eval_navigate(rel, from_attr, *axis, label, as_prefix, *mode)
-            }
-            Fetch {
-                input,
-                id_attr,
-                what,
-                as_name,
-            } => {
-                let doc = self.doc.ok_or(EvalError::NeedsDocument("Fetch"))?;
-                let rel = self.eval(input)?;
-                let idx = resolve(&rel.schema, id_attr)?;
-                let mut schema = rel.schema.clone();
-                schema.fields.push(Field::atom(as_name));
-                let tuples = rel
-                    .tuples
-                    .iter()
-                    .map(|t| {
-                        let v = match flat_value(t, &idx).as_id() {
-                            None => Value::Null,
-                            Some(sid) => {
-                                let n = NodeId(sid.pre);
-                                match what {
-                                    FetchWhat::Val => Value::str(doc.value(n)),
-                                    FetchWhat::Cont => Value::str(doc.content(n)),
-                                    FetchWhat::Tag => Value::str(doc.label(n)),
-                                }
-                            }
-                        };
-                        let mut nt = t.clone();
-                        nt.0.push(v);
-                        nt
-                    })
-                    .collect();
-                Ok(Relation::new(schema, tuples))
-            }
-            DeriveAncestorId {
-                input,
-                attr,
-                levels,
-                as_name,
-            } => {
-                let rel = self.eval(input)?;
-                self.eval_derive_ancestor(rel, attr, *levels, as_name)
-            }
-            CastSchema { input, schema } => {
-                let rel = self.eval(input)?;
-                fn shape_eq(a: &Schema, b: &Schema) -> bool {
-                    a.arity() == b.arity()
-                        && a.fields
-                            .iter()
-                            .zip(&b.fields)
-                            .all(|(x, y)| match (&x.kind, &y.kind) {
-                                (FieldKind::Atom, FieldKind::Atom) => true,
-                                (FieldKind::Nested(m), FieldKind::Nested(n)) => shape_eq(m, n),
-                                _ => false,
-                            })
-                }
-                if !shape_eq(&rel.schema, schema) {
-                    return Err(EvalError::TypeError(format!(
-                        "cast shape mismatch: {} vs {}",
-                        rel.schema, schema
-                    )));
-                }
-                Ok(Relation::new(schema.clone(), rel.tuples))
-            }
-            Rename { input, names } => {
-                let mut rel = self.eval(input)?;
-                if names.len() != rel.schema.arity() {
-                    return Err(EvalError::TypeError(format!(
-                        "rename arity mismatch: {} names for {} fields",
-                        names.len(),
-                        rel.schema.arity()
-                    )));
-                }
-                for (f, n) in rel.schema.fields.iter_mut().zip(names) {
-                    f.name = n.clone();
-                }
-                Ok(rel)
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // selection
-
-    fn eval_select(&self, rel: Relation, pred: &Predicate) -> Result<Relation, EvalError> {
-        // `map`-extension with reduction for a single comparison over one
-        // nested column (Example 1.2.2); plain existential otherwise.
-        if let Predicate::Cmp(Operand::Col(p), op, Operand::Const(c)) = pred {
-            let idx = resolve(&rel.schema, p)?;
-            if crosses_collection(&rel.schema, &idx) {
-                let tuples = rel
-                    .tuples
-                    .into_iter()
-                    .filter_map(|t| {
-                        reduce_tuple(&rel.schema, t, &idx, &mut |v| cmp_values(v, *op, c))
-                    })
-                    .collect();
-                return Ok(Relation::new(rel.schema, tuples));
-            }
-        }
-        let tuples = rel
-            .tuples
-            .iter()
-            .filter(|t| self.eval_pred(&rel.schema, t, pred).unwrap_or(false))
-            .cloned()
-            .collect::<Vec<_>>();
-        // validate attribute references eagerly for error reporting
-        validate_pred(&rel.schema, pred)?;
-        Ok(Relation::new(rel.schema, tuples))
-    }
-
-    /// Evaluate a predicate over one tuple, with existential semantics when
-    /// column paths cross collection attributes.
-    pub fn eval_pred(
-        &self,
-        schema: &Schema,
-        tuple: &Tuple,
-        pred: &Predicate,
-    ) -> Result<bool, EvalError> {
-        match pred {
-            Predicate::True => Ok(true),
-            Predicate::And(a, b) => {
-                Ok(self.eval_pred(schema, tuple, a)? && self.eval_pred(schema, tuple, b)?)
-            }
-            Predicate::Or(a, b) => {
-                Ok(self.eval_pred(schema, tuple, a)? || self.eval_pred(schema, tuple, b)?)
-            }
-            Predicate::Not(a) => Ok(!self.eval_pred(schema, tuple, a)?),
-            Predicate::IsNull(p) => {
-                let idx = resolve(schema, p)?;
-                let vals = reachable_values(tuple, &idx);
-                Ok(vals.iter().all(|v| v.is_null()) || vals.is_empty())
-            }
-            Predicate::NotNull(p) => {
-                let idx = resolve(schema, p)?;
-                Ok(reachable_values(tuple, &idx).iter().any(|v| !v.is_null()))
-            }
-            Predicate::Cmp(l, op, r) => {
-                let lv = self.operand_values(schema, tuple, l)?;
-                let rv = self.operand_values(schema, tuple, r)?;
-                for a in &lv {
-                    for b in &rv {
-                        if cmp_values(a, *op, b) {
-                            return Ok(true);
-                        }
-                    }
-                }
-                Ok(false)
-            }
-        }
-    }
-
-    fn operand_values(
-        &self,
-        schema: &Schema,
-        tuple: &Tuple,
-        op: &Operand,
-    ) -> Result<Vec<Value>, EvalError> {
-        match op {
-            Operand::Const(v) => Ok(vec![v.clone()]),
-            Operand::Col(p) => {
-                let idx = resolve(schema, p)?;
-                Ok(reachable_values(tuple, &idx))
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // projection
-
-    fn eval_project(
-        &self,
-        rel: Relation,
-        cols: &[Path],
-        distinct: bool,
-    ) -> Result<Relation, EvalError> {
-        let spec = ProjSpec::build(&rel.schema, cols)?;
-        let schema = spec.schema(&rel.schema);
-        let mut tuples: Vec<Tuple> = rel.tuples.iter().map(|t| spec.apply(t)).collect();
-        if distinct {
-            let mut seen: HashSet<String> = HashSet::with_capacity(tuples.len());
-            tuples.retain(|t| seen.insert(dedup_key(t)));
-        }
-        Ok(Relation::new(schema, tuples))
-    }
-
-    // ------------------------------------------------------------------
-    // value joins
-
-    fn eval_value_join(
-        &self,
-        l: Relation,
-        r: Relation,
-        pred: &Predicate,
-        kind: JoinKind,
-    ) -> Result<Relation, EvalError> {
-        let combined = l.schema.concat(&r.schema);
-        validate_pred(&combined, pred)?;
-        // per-left match lists
-        let mut matches: Vec<Vec<usize>> = vec![Vec::new(); l.len()];
-        for (li, lt) in l.tuples.iter().enumerate() {
-            for (ri, rt) in r.tuples.iter().enumerate() {
-                let joined = lt.concat(rt);
-                if self.eval_pred(&combined, &joined, pred)? {
-                    matches[li].push(ri);
-                }
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.borrow_mut().comparisons((l.len() * r.len()) as u64);
-        }
-        self.assemble_join(l, r, matches, kind, None)
-    }
-
-    // ------------------------------------------------------------------
-    // structural joins
-
-    #[allow(clippy::too_many_arguments)]
-    fn eval_struct_join(
-        &self,
-        l: Relation,
-        r: Relation,
-        left_attr: &Path,
-        right_attr: &Path,
-        axis: Axis,
-        kind: JoinKind,
-        nest_as: Option<&str>,
-    ) -> Result<Relation, EvalError> {
-        let lidx = resolve(&l.schema, left_attr)?;
-        let ridx = resolve(&r.schema, right_attr)?;
-        if crosses_collection(&r.schema, &ridx) {
-            return Err(EvalError::TypeError(
-                "structural join right attribute must not be nested".into(),
-            ));
-        }
-        if crosses_collection(&l.schema, &lidx) {
-            return self.map_struct_join(l, r, &lidx, &ridx, axis, kind, nest_as);
-        }
-        // flat case: gather (sid, index), sort if needed, run StackTree
-        let mut lids: Vec<(StructuralId, usize)> = Vec::new();
-        for (i, t) in l.tuples.iter().enumerate() {
-            if let Some(id) = flat_value(t, &lidx).as_id() {
-                lids.push((id, i));
-            }
-        }
-        let mut rids: Vec<(StructuralId, usize)> = Vec::new();
-        for (i, t) in r.tuples.iter().enumerate() {
-            if let Some(id) = flat_value(t, &ridx).as_id() {
-                rids.push((id, i));
-            }
-        }
-        let pairs = if self.config.use_stacktree {
-            if !is_sorted_by_pre(&lids) {
-                lids.sort_by_key(|(s, _)| s.pre);
-            }
-            if !is_sorted_by_pre(&rids) {
-                rids.sort_by_key(|(s, _)| s.pre);
-            }
-            // pack to structure-of-arrays and run the merge; packing is
-            // one linear pass, like an index build
-            packable(l.len())?;
-            packable(r.len())?;
-            let lc = IdColumns::from_pairs(&lids, DEFAULT_BLOCK);
-            let rc = IdColumns::from_pairs(&rids, DEFAULT_BLOCK);
-            match &self.metrics {
-                Some(m) => stack_tree_pairs_columnar_metered(
-                    &lc,
-                    &rc,
-                    axis,
-                    self.config,
-                    &mut *m.borrow_mut(),
-                ),
-                None => stack_tree_pairs_columnar(&lc, &rc, axis, self.config),
-            }
-        } else {
-            if let Some(m) = &self.metrics {
-                m.borrow_mut().comparisons((lids.len() * rids.len()) as u64);
-            }
-            nested_loop_pairs(&lids, &rids, axis)
-        };
-        let mut matches: Vec<Vec<usize>> = vec![Vec::new(); l.len()];
-        for (li, ri) in pairs {
-            matches[li].push(ri);
-        }
-        for m in &mut matches {
-            m.sort_unstable();
-        }
-        self.assemble_join(l, r, matches, kind, nest_as)
-    }
-
-    /// Assemble join output from per-left match lists.
-    fn assemble_join(
-        &self,
-        l: Relation,
-        r: Relation,
-        matches: Vec<Vec<usize>>,
-        kind: JoinKind,
-        nest_as: Option<&str>,
-    ) -> Result<Relation, EvalError> {
-        match kind {
-            JoinKind::Inner => {
-                let schema = l.schema.concat(&r.schema);
-                let mut tuples = Vec::new();
-                for (li, ms) in matches.iter().enumerate() {
-                    for &ri in ms {
-                        tuples.push(l.tuples[li].concat(&r.tuples[ri]));
-                    }
-                }
-                Ok(Relation::new(schema, tuples))
-            }
-            JoinKind::Semi => {
-                let tuples = matches
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, ms)| !ms.is_empty())
-                    .map(|(li, _)| l.tuples[li].clone())
-                    .collect();
-                Ok(Relation::new(l.schema, tuples))
-            }
-            JoinKind::LeftOuter => {
-                let schema = l.schema.concat(&r.schema);
-                let r_arity = r.schema.arity();
-                let mut tuples = Vec::new();
-                for (li, ms) in matches.iter().enumerate() {
-                    if ms.is_empty() {
-                        tuples.push(l.tuples[li].concat(&Tuple::nulls(r_arity)));
-                    } else {
-                        for &ri in ms {
-                            tuples.push(l.tuples[li].concat(&r.tuples[ri]));
-                        }
-                    }
-                }
-                Ok(Relation::new(schema, tuples))
-            }
-            JoinKind::Nest | JoinKind::NestOuter => {
-                let name = nest_as.unwrap_or("s");
-                let schema = l
-                    .schema
-                    .concat(&Schema::new(vec![Field::nested(name, r.schema.clone())]));
-                let mut tuples = Vec::new();
-                for (li, ms) in matches.iter().enumerate() {
-                    if ms.is_empty() && kind == JoinKind::Nest {
-                        continue;
-                    }
-                    let nested: Vec<Tuple> = ms.iter().map(|&ri| r.tuples[ri].clone()).collect();
-                    let mut t = l.tuples[li].clone();
-                    t.0.push(Value::Coll(Collection::list(nested)));
-                    tuples.push(t);
-                }
-                Ok(Relation::new(schema, tuples))
+                let op = Unary::compile(plan, &rel.schema, &Demand::All, self.doc)?;
+                let tuples = op.apply(rel.tuples);
+                Ok(Relation::new(op.schema, tuples))
             }
         }
     }
@@ -748,14 +303,10 @@ impl<'a> Evaluator<'a> {
         let solutions = twig_solutions(&rels, &shape, steps, self.config, self.metrics.as_ref())?;
         // one output tuple per solution; the kernel already emits them in
         // the cascade's lexicographic order
-        let mut tuples = Vec::with_capacity(solutions.len());
-        for sol in &solutions {
-            let mut t = rels[0].tuples[sol[0]].clone();
-            for (j, &i) in sol.iter().enumerate().skip(1) {
-                t = t.concat(&rels[j].tuples[i]);
-            }
-            tuples.push(t);
-        }
+        let tuples = solutions
+            .iter()
+            .map(|sol| solution_tuple(&rels, sol))
+            .collect();
         Ok(Relation::new(shape.schema, tuples))
     }
 
@@ -831,485 +382,18 @@ impl<'a> Evaluator<'a> {
         };
         Ok((rel, profile))
     }
-
-    /// `map`-extended structural join: the left ID lives inside a nested
-    /// collection attribute (Example 1.2.3). The join is applied inside each
-    /// nested collection; left tuples whose every nested collection joins
-    /// empty are eliminated (for the non-outer kinds).
-    #[allow(clippy::too_many_arguments)]
-    fn map_struct_join(
-        &self,
-        l: Relation,
-        r: Relation,
-        lidx: &[usize],
-        ridx: &[usize],
-        axis: Axis,
-        kind: JoinKind,
-        nest_as: Option<&str>,
-    ) -> Result<Relation, EvalError> {
-        // Split the path at the first collection crossing.
-        let first = lidx[0];
-        let inner_schema = match &l.schema.fields[first].kind {
-            FieldKind::Nested(s) => s.clone(),
-            FieldKind::Atom => {
-                return Err(EvalError::TypeError(
-                    "map struct join expected nested field".into(),
-                ))
-            }
-        };
-        let rest = &lidx[1..];
-        // Recursively join the nested relation.
-        let mut out_inner_schema: Option<Schema> = None;
-        let mut tuples = Vec::new();
-        for t in &l.tuples {
-            let Value::Coll(c) = t.get(first) else {
-                continue;
-            };
-            let inner_rel = Relation::new(inner_schema.clone(), c.tuples.clone());
-            let joined = if crosses_collection(&inner_schema, rest) {
-                self.map_struct_join(inner_rel, r.clone(), rest, ridx, axis, kind, nest_as)?
-            } else {
-                // delegate to flat join at this level
-                let right_path = Path::new(index_path_name(&r.schema, ridx));
-                let left_path = Path::new(index_path_name(&inner_schema, rest));
-                self.eval_struct_join(
-                    inner_rel,
-                    r.clone(),
-                    &left_path,
-                    &right_path,
-                    axis,
-                    kind,
-                    nest_as,
-                )?
-            };
-            if out_inner_schema.is_none() {
-                out_inner_schema = Some(joined.schema.clone());
-            }
-            let keep_empty = matches!(kind, JoinKind::LeftOuter | JoinKind::NestOuter);
-            if joined.tuples.is_empty() && !keep_empty {
-                continue; // eliminate: all nested maps empty
-            }
-            let mut nt = t.clone();
-            nt.0[first] = Value::Coll(Collection::list(joined.tuples));
-            tuples.push(nt);
-        }
-        let mut schema = l.schema.clone();
-        if let Some(s) = out_inner_schema {
-            schema.fields[first].kind = FieldKind::Nested(s);
-        } else {
-            // no tuples: compute schema structurally for consistency
-            let dummy = Relation::empty(inner_schema);
-            let right_path = Path::new(index_path_name(&r.schema, ridx));
-            let left_path = Path::new(index_path_name(&dummy.schema, rest));
-            let joined = self.eval_struct_join(
-                dummy,
-                r.clone(),
-                &left_path,
-                &right_path,
-                axis,
-                kind,
-                nest_as,
-            )?;
-            schema.fields[first].kind = FieldKind::Nested(joined.schema);
-        }
-        Ok(Relation::new(schema, tuples))
-    }
-
-    // ------------------------------------------------------------------
-    // group-by / unnest
-
-    fn eval_group_by(
-        &self,
-        rel: Relation,
-        keys: &[Path],
-        nest_as: &str,
-    ) -> Result<Relation, EvalError> {
-        let key_idx: Vec<usize> = keys
-            .iter()
-            .map(|p| {
-                let idx = resolve(&rel.schema, p)?;
-                if idx.len() != 1 {
-                    return Err(EvalError::TypeError(
-                        "group-by keys must be top-level attributes".into(),
-                    ));
-                }
-                Ok(idx[0])
-            })
-            .collect::<Result<_, _>>()?;
-        let rest_idx: Vec<usize> = (0..rel.schema.arity())
-            .filter(|i| !key_idx.contains(i))
-            .collect();
-        let rest_schema = Schema::new(
-            rest_idx
-                .iter()
-                .map(|&i| rel.schema.fields[i].clone())
-                .collect(),
-        );
-        let mut schema_fields: Vec<Field> = key_idx
-            .iter()
-            .map(|&i| rel.schema.fields[i].clone())
-            .collect();
-        schema_fields.push(Field::nested(nest_as, rest_schema));
-        let schema = Schema::new(schema_fields);
-
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: HashMap<String, (Tuple, Vec<Tuple>)> = HashMap::new();
-        for t in &rel.tuples {
-            let key_vals: Vec<Value> = key_idx.iter().map(|&i| t.get(i).clone()).collect();
-            let rest_vals: Vec<Value> = rest_idx.iter().map(|&i| t.get(i).clone()).collect();
-            let key = format!("{}", Tuple::new(key_vals.clone()));
-            groups
-                .entry(key.clone())
-                .or_insert_with(|| {
-                    order.push(key);
-                    (Tuple::new(key_vals), Vec::new())
-                })
-                .1
-                .push(Tuple::new(rest_vals));
-        }
-        let tuples = order
-            .into_iter()
-            .map(|k| {
-                let (mut key_tuple, rest) = groups.remove(&k).unwrap();
-                key_tuple.0.push(Value::Coll(Collection::list(rest)));
-                key_tuple
-            })
-            .collect();
-        Ok(Relation::new(schema, tuples))
-    }
-
-    fn eval_unnest(&self, rel: Relation, attr: &Path) -> Result<Relation, EvalError> {
-        let idx = resolve(&rel.schema, attr)?;
-        if idx.len() != 1 {
-            return Err(EvalError::TypeError(
-                "unnest attribute must be top-level".into(),
-            ));
-        }
-        let i = idx[0];
-        let inner = match &rel.schema.fields[i].kind {
-            FieldKind::Nested(s) => s.clone(),
-            FieldKind::Atom => {
-                return Err(EvalError::TypeError("unnest of atomic attribute".into()))
-            }
-        };
-        let mut fields = Vec::new();
-        for (j, f) in rel.schema.fields.iter().enumerate() {
-            if j == i {
-                fields.extend(inner.fields.iter().cloned());
-            } else {
-                fields.push(f.clone());
-            }
-        }
-        let schema = Schema::new(fields);
-        let mut tuples = Vec::new();
-        for t in &rel.tuples {
-            if let Value::Coll(c) = t.get(i) {
-                for nt in &c.tuples {
-                    let mut vals = Vec::with_capacity(schema.arity());
-                    for (j, v) in t.0.iter().enumerate() {
-                        if j == i {
-                            vals.extend(nt.0.iter().cloned());
-                        } else {
-                            vals.push(v.clone());
-                        }
-                    }
-                    tuples.push(Tuple::new(vals));
-                }
-            }
-        }
-        Ok(Relation::new(schema, tuples))
-    }
-
-    // ------------------------------------------------------------------
-    // document-backed operators
-
-    fn eval_navigate(
-        &self,
-        rel: Relation,
-        from_attr: &Path,
-        axis: Axis,
-        label: &str,
-        as_prefix: &str,
-        mode: NavMode,
-    ) -> Result<Relation, EvalError> {
-        let doc = self.doc.ok_or(EvalError::NeedsDocument("Navigate"))?;
-        let idx = resolve(&rel.schema, from_attr)?;
-        if crosses_collection(&rel.schema, &idx) {
-            return Err(EvalError::TypeError(
-                "navigate source attribute must not be nested".into(),
-            ));
-        }
-        let mut schema = rel.schema.clone();
-        if mode != NavMode::Exists {
-            schema.fields.push(Field::atom(format!("{as_prefix}_ID")));
-            schema.fields.push(Field::atom(format!("{as_prefix}_Val")));
-            schema.fields.push(Field::atom(format!("{as_prefix}_Cont")));
-        }
-        let mut tuples = Vec::new();
-        for t in &rel.tuples {
-            let targets: Vec<NodeId> = match flat_value(t, &idx).as_id() {
-                None => Vec::new(),
-                Some(sid) => {
-                    let n = NodeId(sid.pre);
-                    let (want_attr, want) = match label.strip_prefix('@') {
-                        Some(a) => (true, a),
-                        None => (false, label),
-                    };
-                    let matches_label = |doc: &Document, m: NodeId| -> bool {
-                        let k = doc.kind(m);
-                        if want_attr {
-                            k == NodeKind::Attribute && doc.label(m) == want
-                        } else if want == "*" {
-                            k == NodeKind::Element
-                        } else {
-                            k == NodeKind::Element && doc.label(m) == want
-                        }
-                    };
-                    match axis {
-                        Axis::Child => doc
-                            .children(n)
-                            .iter()
-                            .copied()
-                            .filter(|&m| matches_label(doc, m))
-                            .collect(),
-                        Axis::Descendant => doc
-                            .descendants(n)
-                            .filter(|&m| matches_label(doc, m))
-                            .collect(),
-                    }
-                }
-            };
-            match mode {
-                NavMode::Exists => {
-                    if !targets.is_empty() {
-                        tuples.push(t.clone());
-                    }
-                }
-                NavMode::Outer if targets.is_empty() => {
-                    let mut nt = t.clone();
-                    nt.0.push(Value::Null);
-                    nt.0.push(Value::Null);
-                    nt.0.push(Value::Null);
-                    tuples.push(nt);
-                }
-                _ => {
-                    for m in targets {
-                        let mut nt = t.clone();
-                        nt.0.push(Value::Id(doc.structural_id(m)));
-                        nt.0.push(Value::str(doc.value(m)));
-                        nt.0.push(Value::str(doc.content(m)));
-                        tuples.push(nt);
-                    }
-                }
-            }
-        }
-        Ok(Relation::new(schema, tuples))
-    }
-
-    fn eval_derive_ancestor(
-        &self,
-        rel: Relation,
-        attr: &Path,
-        levels: u16,
-        as_name: &str,
-    ) -> Result<Relation, EvalError> {
-        let doc = self
-            .doc
-            .ok_or(EvalError::NeedsDocument("DeriveAncestorId"))?;
-        let idx = resolve(&rel.schema, attr)?;
-        let mut schema = rel.schema.clone();
-        schema.fields.push(Field::atom(as_name));
-        let mut tuples = Vec::new();
-        for t in &rel.tuples {
-            let anc = flat_value(t, &idx).as_id().and_then(|sid| {
-                let mut n = NodeId(sid.pre);
-                for _ in 0..levels {
-                    n = doc.parent(n)?;
-                }
-                Some(doc.structural_id(n))
-            });
-            let mut nt = t.clone();
-            nt.0.push(anc.map(Value::Id).unwrap_or(Value::Null));
-            tuples.push(nt);
-        }
-        Ok(Relation::new(schema, tuples))
-    }
 }
 
-// ----------------------------------------------------------------------
-// path utilities
-
-/// Resolve a dotted path to field indexes.
-fn resolve(schema: &Schema, p: &Path) -> Result<Vec<usize>, EvalError> {
-    schema
-        .resolve(p.as_str())
-        .ok_or_else(|| EvalError::UnknownAttribute(p.as_str().to_string()))
-}
-
-/// Does the prefix of this index path (all but the last step) cross a
-/// nested collection?
-fn crosses_collection(schema: &Schema, idx: &[usize]) -> bool {
-    if idx.len() <= 1 {
-        return false;
+/// `Union` takes two inputs of equal arity.
+pub(crate) fn check_union(l: &Schema, r: &Schema) -> Result<(), EvalError> {
+    if l.arity() != r.arity() {
+        return Err(EvalError::TypeError(format!(
+            "union arity mismatch: {} vs {}",
+            l.arity(),
+            r.arity()
+        )));
     }
-    matches!(schema.fields[idx[0]].kind, FieldKind::Nested(_))
-}
-
-/// Value at a flat (non-collection-crossing) index path.
-fn flat_value(t: &Tuple, idx: &[usize]) -> Value {
-    debug_assert_eq!(idx.len(), 1);
-    t.get(idx[0]).clone()
-}
-
-/// All atomic values reachable at an index path, descending through nested
-/// collections (existential `map` semantics).
-fn reachable_values(t: &Tuple, idx: &[usize]) -> Vec<Value> {
-    fn rec(v: &Value, rest: &[usize], out: &mut Vec<Value>) {
-        match (v, rest) {
-            (v, []) => out.push(v.clone()),
-            (Value::Coll(c), rest) => {
-                for t in &c.tuples {
-                    rec(t.get(rest[0]), &rest[1..], out);
-                }
-            }
-            _ => out.push(Value::Null),
-        }
-    }
-    let mut out = Vec::new();
-    rec(t.get(idx[0]), &idx[1..], &mut out);
-    out
-}
-
-/// Reduce a tuple on a nested path: keep only nested tuples whose value at
-/// the path satisfies `f`; eliminate the tuple if nothing remains
-/// (Example 1.2.2's `map(σ, r, A1.A11)`).
-fn reduce_tuple(
-    _schema: &Schema,
-    mut t: Tuple,
-    idx: &[usize],
-    f: &mut dyn FnMut(&Value) -> bool,
-) -> Option<Tuple> {
-    fn rec(v: &mut Value, rest: &[usize], f: &mut dyn FnMut(&Value) -> bool) -> bool {
-        match v {
-            Value::Coll(c) => {
-                c.tuples.retain_mut(|t| {
-                    let inner = &mut t.0[rest[0]];
-                    rec(inner, &rest[1..], f)
-                });
-                !c.tuples.is_empty()
-            }
-            v => {
-                if rest.is_empty() {
-                    f(v)
-                } else {
-                    false
-                }
-            }
-        }
-    }
-    let keep = rec(&mut t.0[idx[0]], &idx[1..], f);
-    keep.then_some(t)
-}
-
-fn cmp_values(a: &Value, op: CmpOp, b: &Value) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        CmpOp::Parent => match (a.as_id(), b.as_id()) {
-            (Some(x), Some(y)) => x.is_parent_of(y),
-            _ => false,
-        },
-        CmpOp::Ancestor => match (a.as_id(), b.as_id()) {
-            (Some(x), Some(y)) => x.is_ancestor_of(y),
-            _ => false,
-        },
-        CmpOp::Contains => match (a, b) {
-            (Value::Str(x), Value::Str(y)) => x.contains(y.as_ref()),
-            _ => false,
-        },
-        _ => match a.compare(b) {
-            None => false,
-            Some(ord) => match op {
-                CmpOp::Eq => ord == Equal,
-                CmpOp::Ne => ord != Equal,
-                CmpOp::Lt => ord == Less,
-                CmpOp::Le => ord != Greater,
-                CmpOp::Gt => ord == Greater,
-                CmpOp::Ge => ord != Less,
-                CmpOp::Parent | CmpOp::Ancestor | CmpOp::Contains => unreachable!(),
-            },
-        },
-    }
-}
-
-fn validate_pred(schema: &Schema, pred: &Predicate) -> Result<(), EvalError> {
-    match pred {
-        Predicate::Cmp(l, _, r) => {
-            if let Operand::Col(p) = l {
-                resolve(schema, p)?;
-            }
-            if let Operand::Col(p) = r {
-                resolve(schema, p)?;
-            }
-            Ok(())
-        }
-        Predicate::IsNull(p) | Predicate::NotNull(p) => resolve(schema, p).map(|_| ()),
-        Predicate::And(a, b) | Predicate::Or(a, b) => {
-            validate_pred(schema, a)?;
-            validate_pred(schema, b)
-        }
-        Predicate::Not(a) => validate_pred(schema, a),
-        Predicate::True => Ok(()),
-    }
-}
-
-fn is_sorted_by_pre(ids: &[(StructuralId, usize)]) -> bool {
-    ids.windows(2).all(|w| w[0].0.pre <= w[1].0.pre)
-}
-
-// ----------------------------------------------------------------------
-// duplicate elimination
-
-/// Canonical key for duplicate elimination: two tuples map to the same
-/// key iff [`tuple_cmp_all`] orders them `Equal`. Values are type-tagged
-/// (`Int(1)` and `Str("1")` never collide), strings are length-prefixed,
-/// IDs key on `pre` alone (the equality class of [`value_cmp`]), and
-/// collections recurse element-wise ignoring their [`CollKind`], exactly
-/// as the comparator does.
-pub(crate) fn dedup_key(t: &Tuple) -> String {
-    let mut out = String::new();
-    write_tuple_key(t, &mut out);
-    out
-}
-
-fn write_tuple_key(t: &Tuple, out: &mut String) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "({}", t.arity());
-    for i in 0..t.arity() {
-        write_value_key(t.get(i), out);
-    }
-    out.push(')');
-}
-
-fn write_value_key(v: &Value, out: &mut String) {
-    use std::fmt::Write as _;
-    match v {
-        Value::Null => out.push('n'),
-        Value::Id(id) => {
-            let _ = write!(out, "i{}", id.pre);
-        }
-        Value::Int(x) => {
-            let _ = write!(out, "d{x}");
-        }
-        Value::Str(s) => {
-            let _ = write!(out, "s{}:{s}", s.len());
-        }
-        Value::Coll(c) => {
-            let _ = write!(out, "c{}", c.tuples.len());
-            for t in &c.tuples {
-                write_tuple_key(t, out);
-            }
-        }
-    }
+    Ok(())
 }
 
 // ----------------------------------------------------------------------
@@ -1393,19 +477,9 @@ pub(crate) fn twig_solutions(
         debug_assert_eq!(id, k + 1);
     }
     let mut streams: Vec<Vec<(StructuralId, usize)>> = Vec::with_capacity(rels.len());
-    for (j, r) in rels.iter().enumerate() {
+    for (r, &col) in rels.iter().zip(&shape.node_attr) {
         packable(r.len())?;
-        let col = shape.node_attr[j];
-        let mut ids: Vec<(StructuralId, usize)> = r
-            .tuples
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.get(col).as_id().map(|sid| (sid, i)))
-            .collect();
-        if !is_sorted_by_pre(&ids) {
-            ids.sort_by_key(|(s, _)| s.pre);
-        }
-        streams.push(ids);
+        streams.push(gather_ids(&r.tuples, col));
     }
     // pack each stream to structure-of-arrays — one linear pass per
     // stream, like an index build — and run the merge
@@ -1420,121 +494,15 @@ pub(crate) fn twig_solutions(
     })
 }
 
-/// The join kernels pack tuple positions into a `u32` payload column:
-/// an input with more tuples than that is refused, not truncated.
-fn packable(tuples: usize) -> Result<(), EvalError> {
-    if tuples > u32::MAX as usize {
-        return Err(EvalError::TooManyTuples(tuples));
+/// The output tuple of one twig solution: the chosen row of every
+/// input, concatenated root first.
+pub(crate) fn solution_tuple(rels: &[Relation], sol: &[usize]) -> Tuple {
+    let arity = rels.iter().map(|r| r.schema.arity()).sum();
+    let mut vals = Vec::with_capacity(arity);
+    for (r, &i) in rels.iter().zip(sol) {
+        vals.extend(r.tuples[i].0.iter().cloned());
     }
-    Ok(())
-}
-
-/// Dotted name of an index path (for re-entrant resolution in map joins).
-fn index_path_name(schema: &Schema, idx: &[usize]) -> String {
-    let mut names = Vec::new();
-    let mut s = schema;
-    for (k, &i) in idx.iter().enumerate() {
-        names.push(s.fields[i].name.clone());
-        if k + 1 < idx.len() {
-            s = match &s.fields[i].kind {
-                FieldKind::Nested(n) => n,
-                FieldKind::Atom => break,
-            };
-        }
-    }
-    names.join(".")
-}
-
-// ----------------------------------------------------------------------
-// projection spec
-
-/// Compiled projection: which fields to keep, with optional nested
-/// sub-projections.
-struct ProjSpec {
-    keep: Vec<(usize, Option<ProjSpec>)>,
-}
-
-impl ProjSpec {
-    fn build(schema: &Schema, cols: &[Path]) -> Result<ProjSpec, EvalError> {
-        // Group paths by leading segment, preserving first-appearance order.
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: HashMap<String, Vec<String>> = HashMap::new();
-        for c in cols {
-            let (head, rest) = match c.as_str().split_once('.') {
-                Some((h, r)) => (h.to_string(), Some(r.to_string())),
-                None => (c.as_str().to_string(), None),
-            };
-            let e = groups.entry(head.clone()).or_insert_with(|| {
-                order.push(head);
-                Vec::new()
-            });
-            if let Some(r) = rest {
-                e.push(r);
-            }
-        }
-        let mut keep = Vec::new();
-        for head in order {
-            let i = schema
-                .index_of(&head)
-                .ok_or_else(|| EvalError::UnknownAttribute(head.clone()))?;
-            let subs = &groups[&head];
-            if subs.is_empty() {
-                keep.push((i, None));
-            } else {
-                let inner = match &schema.fields[i].kind {
-                    FieldKind::Nested(s) => s,
-                    FieldKind::Atom => {
-                        return Err(EvalError::UnknownAttribute(format!("{head}.{}", subs[0])))
-                    }
-                };
-                let sub_paths: Vec<Path> = subs.iter().map(|s| Path::new(s.clone())).collect();
-                keep.push((i, Some(ProjSpec::build(inner, &sub_paths)?)));
-            }
-        }
-        Ok(ProjSpec { keep })
-    }
-
-    fn schema(&self, schema: &Schema) -> Schema {
-        let fields = self
-            .keep
-            .iter()
-            .map(|(i, sub)| {
-                let f = &schema.fields[*i];
-                match sub {
-                    None => f.clone(),
-                    Some(spec) => {
-                        let inner = match &f.kind {
-                            FieldKind::Nested(s) => spec.schema(s),
-                            FieldKind::Atom => unreachable!(),
-                        };
-                        Field::nested(f.name.clone(), inner)
-                    }
-                }
-            })
-            .collect();
-        Schema::new(fields)
-    }
-
-    fn apply(&self, t: &Tuple) -> Tuple {
-        let vals = self
-            .keep
-            .iter()
-            .map(|(i, sub)| {
-                let v = t.get(*i);
-                match sub {
-                    None => v.clone(),
-                    Some(spec) => match v {
-                        Value::Coll(c) => Value::Coll(Collection {
-                            kind: c.kind,
-                            tuples: c.tuples.iter().map(|nt| spec.apply(nt)).collect(),
-                        }),
-                        _ => Value::Null,
-                    },
-                }
-            })
-            .collect();
-        Tuple::new(vals)
-    }
+    Tuple::new(vals)
 }
 
 /// Project a materialized relation to the given dotted paths (public
@@ -1543,7 +511,7 @@ impl ProjSpec {
 pub fn project_relation(rel: &Relation, paths: &[Path]) -> Result<Relation, EvalError> {
     let spec = ProjSpec::build(&rel.schema, paths)?;
     let schema = spec.schema(&rel.schema);
-    let tuples = rel.tuples.iter().map(|t| spec.apply(t)).collect();
+    let tuples = rel.tuples.iter().map(|t| spec.apply(t.clone())).collect();
     Ok(Relation::new(schema, tuples))
 }
 
@@ -1594,6 +562,9 @@ fn derived(doc: &Document, label: Option<&str>, kind: NodeKind) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::dedup_key;
+    use crate::plan::{Axis, JoinKind, NavMode, Predicate};
+    use crate::value::{Collection, Field};
     use xmltree::generate::bib_sample;
 
     fn setup() -> (Document, Catalog) {

@@ -23,6 +23,7 @@
 
 pub mod cursor;
 pub mod eval;
+mod op;
 pub mod order;
 pub mod plan;
 pub mod simd;

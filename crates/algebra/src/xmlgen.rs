@@ -11,6 +11,7 @@
 //! memory needs are bounded by the largest element to construct, matching
 //! the paper's `xml_templ,φ` physical operator.
 
+use crate::eval::EvalError;
 use crate::value::{Schema, Tuple, Value};
 
 /// A tagging template.
@@ -51,40 +52,88 @@ impl Template {
         }
     }
 
-    /// Instantiate the template for one tuple, appending to `out`.
-    pub fn render(&self, schema: &Schema, tuple: &Tuple, out: &mut String) {
-        match self {
-            Template::Element { tag, children } => {
-                out.push('<');
-                out.push_str(tag);
-                out.push('>');
-                for c in children {
-                    c.render(schema, tuple, out);
-                }
-                out.push_str("</");
-                out.push_str(tag);
-                out.push('>');
-            }
-            Template::Text(t) => out.push_str(t),
+    /// Bind the template to the schema of the tuples it will render:
+    /// every attribute name is resolved here, once. A name the schema
+    /// does not have is [`EvalError::UnknownAttribute`], and a
+    /// `ForEach` over an atomic attribute is a [`EvalError::TypeError`]
+    /// — never a silently empty splice.
+    pub(crate) fn compile(&self, schema: &Schema) -> Result<TemplatePlan, EvalError> {
+        Ok(match self {
+            Template::Element { tag, children } => TemplatePlan::Element {
+                open: format!("<{tag}>"),
+                close: format!("</{tag}>"),
+                children: compile_all(children, schema)?,
+            },
+            Template::Text(t) => TemplatePlan::Text(t.clone()),
             Template::Attr(name) => {
-                if let Some(path) = schema.resolve(name) {
-                    if path.len() == 1 {
-                        render_value(tuple.get(path[0]), out);
-                    }
-                }
+                let path = schema
+                    .resolve(name)
+                    .ok_or_else(|| EvalError::UnknownAttribute(name.clone()))?;
+                // a dotted path reaching inside a collection splices
+                // nothing; iterate it with `ForEach` instead
+                TemplatePlan::Attr((path.len() == 1).then_some(path[0]))
             }
             Template::ForEach { attr, body } => {
-                let Some(idx) = schema.index_of(attr) else {
-                    return;
-                };
-                let Some(inner) = schema.schema_at(&[idx]) else {
-                    return;
-                };
-                let inner = inner.clone();
-                if let Value::Coll(c) = tuple.get(idx) {
+                let idx = schema
+                    .index_of(attr)
+                    .ok_or_else(|| EvalError::UnknownAttribute(attr.clone()))?;
+                let inner = schema.schema_at(&[idx]).ok_or_else(|| {
+                    EvalError::TypeError(format!("for-each over atomic attribute `{attr}`"))
+                })?;
+                TemplatePlan::ForEach {
+                    idx,
+                    body: compile_all(body, inner)?,
+                }
+            }
+        })
+    }
+}
+
+fn compile_all(ts: &[Template], schema: &Schema) -> Result<Vec<TemplatePlan>, EvalError> {
+    ts.iter().map(|t| t.compile(schema)).collect()
+}
+
+/// A [`Template`] bound to a schema by [`Template::compile`]: attribute
+/// names resolved to field indexes, tags pre-rendered.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum TemplatePlan {
+    Element {
+        open: String,
+        close: String,
+        children: Vec<TemplatePlan>,
+    },
+    Text(String),
+    /// The field to splice; `None` splices nothing.
+    Attr(Option<usize>),
+    ForEach {
+        idx: usize,
+        body: Vec<TemplatePlan>,
+    },
+}
+
+impl TemplatePlan {
+    /// Instantiate the template for one tuple, appending to `out`.
+    pub(crate) fn render(&self, tuple: &Tuple, out: &mut String) {
+        match self {
+            TemplatePlan::Element {
+                open,
+                close,
+                children,
+            } => {
+                out.push_str(open);
+                for c in children {
+                    c.render(tuple, out);
+                }
+                out.push_str(close);
+            }
+            TemplatePlan::Text(t) => out.push_str(t),
+            TemplatePlan::Attr(Some(i)) => render_value(tuple.get(*i), out),
+            TemplatePlan::Attr(None) => {}
+            TemplatePlan::ForEach { idx, body } => {
+                if let Value::Coll(c) = tuple.get(*idx) {
                     for t in &c.tuples {
                         for b in body {
-                            b.render(&inner, t, out);
+                            b.render(t, out);
                         }
                     }
                 }
@@ -133,7 +182,7 @@ mod tests {
             )],
         );
         let mut out = String::new();
-        t.render(&schema, &tuple, &mut out);
+        t.compile(&schema).unwrap().render(&tuple, &mut out);
         assert_eq!(
             out,
             "<res_item><res_desc>x</res_desc><res_desc>y</res_desc></res_item>"
@@ -146,7 +195,7 @@ mod tests {
         let tuple = Tuple::new(vec![Value::Null]);
         let t = Template::elem("res", vec![Template::attr("A")]);
         let mut out = String::new();
-        t.render(&schema, &tuple, &mut out);
+        t.compile(&schema).unwrap().render(&tuple, &mut out);
         assert_eq!(out, "<res></res>");
     }
 
@@ -159,7 +208,7 @@ mod tests {
             vec![Template::for_each("A", vec![Template::attr("B")])],
         );
         let mut out = String::new();
-        t.render(&schema, &tuple, &mut out);
+        t.compile(&schema).unwrap().render(&tuple, &mut out);
         assert_eq!(out, "<r></r>");
     }
 }

@@ -795,6 +795,12 @@ impl PipelineRow {
         self.mat_peak as f64 / self.stream_peak.max(1) as f64
     }
 
+    /// Streamed drain over materialized eval (≤ 1 means the cursor tree
+    /// costs no more than materializing every intermediate).
+    pub fn stream_ratio(&self) -> f64 {
+        self.stream_ns as f64 / self.mat_ns.max(1) as f64
+    }
+
     /// Materialized-eval-over-LIMIT-run speedup (the early-termination
     /// win: a consumer of `limit_rows` rows pays `limit_ns`, not
     /// `mat_ns`).

@@ -17,7 +17,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use algebra::{CursorConfig, EvalConfig, Evaluator, LogicalPlan, Relation, StreamExec, TupleBatch};
+use algebra::{
+    CursorConfig, EvalConfig, Evaluator, LogicalPlan, Relation, StreamExec, Tuple, TupleBatch,
+};
 use containment::{CacheStats, CanonicalCache};
 use obs::{
     ArmTelemetry, CacheCounters, OpProfile, OpStreamProfile, PlanNodeProfile, QueryProfile,
@@ -457,8 +459,8 @@ impl Uload {
         })
     }
 
-    fn serialize(rel: &Relation) -> Vec<String> {
-        rel.tuples
+    fn serialize(tuples: &[Tuple]) -> Vec<String> {
+        tuples
             .iter()
             .map(|t| t.get(0).as_str().unwrap_or("").to_string())
             .collect()
@@ -738,13 +740,16 @@ impl Uload {
     /// Execute a prepared plan to completion (materialized), returning
     /// the serialized rows. The plan was already fused (or not) at
     /// prepare time; only the per-call document is supplied here.
+    /// Materialized means drained: this pulls the same cursor tree
+    /// [`Uload::stream_prepared`] returns until it is exhausted.
     pub fn answer_prepared(&self, prep: &PreparedQuery, doc: &Document) -> Result<Vec<String>> {
-        let mut ev = Evaluator::with_document(self.store.catalog(), doc);
-        ev.config = self.config.eval_config(prep.use_twigstack);
-        let rel = ev
-            .eval(&prep.plan)
-            .map_err(|e| Error::Eval(e.to_string()))?;
-        Ok(Self::serialize(&rel))
+        let mut exec = self.cursor(prep, doc, 0, false)?;
+        let mut out = Vec::new();
+        while let Some(b) = exec.next_batch().map_err(|e| Error::Eval(e.to_string()))? {
+            out.extend(Self::serialize(&b.tuples));
+        }
+        exec.close();
+        Ok(out)
     }
 
     /// Execute a prepared plan over a versioned [`DocumentHandle`] —
@@ -811,6 +816,28 @@ impl Uload {
         doc_version: u64,
         profiling: bool,
     ) -> Result<QueryResults<'e>> {
+        let exec = self.cursor(prep, doc, doc_version, profiling)?;
+        Ok(QueryResults {
+            exec,
+            pending: VecDeque::new(),
+            rewritings: prep.rewritings.clone(),
+            breakers: prep.breakers.clone(),
+            batches: 0,
+            rows: 0,
+            closed: false,
+        })
+    }
+
+    /// The cursor tree of a prepared plan under the engine's executor
+    /// settings: the one executor behind both the streamed and the
+    /// materialized paths.
+    fn cursor<'e>(
+        &'e self,
+        prep: &PreparedQuery,
+        doc: &'e Document,
+        doc_version: u64,
+        profiling: bool,
+    ) -> Result<StreamExec<'e>> {
         let mut ccfg = CursorConfig {
             batch_size: self.config.batch_size,
             profiling,
@@ -826,17 +853,8 @@ impl Uload {
                 prep.breakers
             );
         }
-        let exec = algebra::build_cursor(&prep.plan, self.store.catalog(), Some(doc), &ccfg)
-            .map_err(|e| Error::Eval(e.to_string()))?;
-        Ok(QueryResults {
-            exec,
-            pending: VecDeque::new(),
-            rewritings: prep.rewritings.clone(),
-            breakers: prep.breakers.clone(),
-            batches: 0,
-            rows: 0,
-            closed: false,
-        })
+        algebra::build_cursor(&prep.plan, self.store.catalog(), Some(doc), &ccfg)
+            .map_err(|e| Error::Eval(e.to_string()))
     }
 
     /// Answer a query as a *stream*: rewrite and plan up front, then
@@ -993,7 +1011,7 @@ impl Uload {
         };
         self.stats.record_profile(0, chosen_fp, &profile);
         *self.last_profile.lock() = Some(profile.clone());
-        Ok((Self::serialize(&rel), p.used, profile))
+        Ok((Self::serialize(&rel.tuples), p.used, profile))
     }
 
     /// `EXPLAIN ANALYZE` an already-prepared plan over a versioned

@@ -10,21 +10,18 @@
 //! free and the catalog entries can declare `OrderSpec::by("ID")` —
 //! letting the evaluator skip its defensive re-sort.
 //!
-//! Two access-method refinements ride on top of the plain columns:
-//!
-//! * every column is also stored packed as [`IdColumns`], the layout
-//!   the join kernels run over (its sorted `pre` column and `max_post`
-//!   fences make it seekable by construction);
-//! * [`IdStreamIndex::build_with_summary`] additionally splits each
-//!   column into per-summary-path partitions (φ of Definition 4.2.1),
-//!   and [`IdStreamIndex::pruned_stream`] reassembles, in pre order,
-//!   only the partitions a query pattern can actually touch — the
-//!   partition selection of `summary::matching`.
+//! One access-method refinement rides on top of the plain columns:
+//! [`IdStreamIndex::build_with_summary`] additionally splits each
+//! column into per-summary-path partitions (φ of Definition 4.2.1), and
+//! [`IdStreamIndex::pruned_stream`] reassembles, in pre order, only the
+//! partitions a query pattern can actually touch — the partition
+//! selection of `summary::matching`. The join kernels pack their inputs
+//! into `algebra::IdColumns` themselves, once per join build side.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use algebra::{IdColumns, OrderSpec, Relation, Schema, Tuple, TupleBatch, Value};
+use algebra::{OrderSpec, Relation, Schema, Tuple, TupleBatch, Value};
 use summary::{Summary, SummaryNodeId};
 use xmltree::{Document, NodeKind, StructuralId};
 
@@ -59,17 +56,13 @@ pub struct PrunedStream {
 #[derive(Debug, Clone)]
 struct Column {
     ids: Vec<StructuralId>,
-    /// The same stream in packed structure-of-arrays layout, for the
-    /// join kernels. Kept alongside the array-of-structs `ids` so
-    /// `scan_slices` can stay zero-copy.
-    cols: IdColumns,
     /// Summary-path partitions, sorted by path id; empty when the index
     /// was built without a summary.
     partitions: Vec<Partition>,
 }
 
 /// The index: one sorted `Vec<StructuralId>` column per `(label, kind)`,
-/// each with its packed layout and (optionally) summary-path partitions.
+/// each with (optionally) its summary-path partitions.
 #[derive(Debug, Default, Clone)]
 pub struct IdStreamIndex {
     columns: HashMap<(String, NodeKind), Column>,
@@ -126,15 +119,7 @@ impl IdStreamIndex {
                     })
                     .unwrap_or_default();
                 partitions.sort_by_key(|p| p.path);
-                let cols = IdColumns::from_sids(&ids);
-                (
-                    key,
-                    Column {
-                        ids,
-                        cols,
-                        partitions,
-                    },
-                )
+                (key, Column { ids, partitions })
             })
             .collect();
         let idx = IdStreamIndex { columns };
@@ -163,14 +148,6 @@ impl IdStreamIndex {
     /// Shorthand for element streams (the common twig case).
     pub fn elements(&self, label: &str) -> &[StructuralId] {
         self.stream(label, NodeKind::Element)
-    }
-
-    /// The packed structure-of-arrays layout of a column, if the column
-    /// exists — the physical representation the vectorized kernels
-    /// consume. Payloads are positions, matching the order of
-    /// [`IdStreamIndex::stream`].
-    pub fn columnar(&self, label: &str, kind: NodeKind) -> Option<&IdColumns> {
-        self.column(label, kind).map(|c| &c.cols)
     }
 
     /// The column's summary-path partitions (empty unless built with
@@ -493,21 +470,5 @@ mod tests {
             .map(|n| doc.structural_id(n))
             .collect();
         assert_eq!(pruned.ids, want);
-    }
-
-    #[test]
-    fn columnar_layout_mirrors_the_streams() {
-        let doc = generate::xmark(3, 7);
-        let idx = IdStreamIndex::build(&doc);
-        for label in ["item", "keyword", "parlist"] {
-            let cols = idx.columnar(label, NodeKind::Element).unwrap();
-            let ids = idx.elements(label);
-            assert_eq!(cols.len(), ids.len(), "{label}");
-            for (i, &sid) in ids.iter().enumerate() {
-                assert_eq!(cols.sid(i), sid);
-                assert_eq!(cols.payload(i), i);
-            }
-        }
-        assert!(idx.columnar("no_such", NodeKind::Element).is_none());
     }
 }

@@ -749,7 +749,7 @@ fn pipeline(quick: bool) {
     let doc = uload::generate::xmark(scale, 42);
     let rows = experiments::pipeline_ablation(&doc, reps, batch, limit);
     println!(
-        "{:<15} {:>8} {:>10} {:>10} {:>9} {:>12} {:>12} {:>12} {:>8}",
+        "{:<15} {:>8} {:>10} {:>10} {:>9} {:>12} {:>12} {:>9} {:>12} {:>8}",
         "workload",
         "rows",
         "mat peak",
@@ -757,12 +757,13 @@ fn pipeline(quick: bool) {
         "x resid",
         "mat (ns)",
         "strm (ns)",
+        "strm/mat",
         "limit (ns)",
         "x limit"
     );
     for r in &rows {
         println!(
-            "{:<15} {:>8} {:>10} {:>10} {:>9.2} {:>12} {:>12} {:>12} {:>8.2}",
+            "{:<15} {:>8} {:>10} {:>10} {:>9.2} {:>12} {:>12} {:>9.2} {:>12} {:>8.2}",
             r.name,
             r.rows,
             r.mat_peak,
@@ -770,6 +771,7 @@ fn pipeline(quick: bool) {
             r.residency_reduction(),
             r.mat_ns,
             r.stream_ns,
+            r.stream_ratio(),
             r.limit_ns,
             r.limit_speedup()
         );
@@ -785,7 +787,8 @@ fn pipeline(quick: bool) {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"rows\": {}, \"mat_peak\": {}, \"stream_peak\": {}, \
              \"residency_reduction\": {:.3}, \"mat_ns\": {}, \"stream_ns\": {}, \
-             \"limit_rows\": {}, \"limit_ns\": {}, \"limit_speedup\": {:.3}}}{}\n",
+             \"stream_ratio\": {:.3}, \"limit_rows\": {}, \"limit_ns\": {}, \
+             \"limit_speedup\": {:.3}}}{}\n",
             r.name,
             r.rows,
             r.mat_peak,
@@ -793,6 +796,7 @@ fn pipeline(quick: bool) {
             r.residency_reduction(),
             r.mat_ns,
             r.stream_ns,
+            r.stream_ratio(),
             r.limit_rows,
             r.limit_ns,
             r.limit_speedup(),

@@ -230,8 +230,10 @@ fn nested_loop_solutions(
     sols
 }
 
-/// Evaluate `plan` under `eval` both materialized and through the
-/// streamed cursor executor at `batch_size`; the two must agree.
+/// Evaluate `plan` under `eval` with the `Evaluator::eval` oracle and
+/// through the cursor executor (the one production executor, which both
+/// streamed and materialized answers drain) at `batch_size`; the two
+/// must agree.
 fn materialized_and_streamed(
     plan: &algebra::LogicalPlan,
     cat: &algebra::Catalog,
@@ -253,7 +255,7 @@ fn materialized_and_streamed(
     prop_assert_eq!(
         &streamed,
         &mat,
-        "streamed != materialized (seek {}, bulk {}, twig {}, batch {})",
+        "cursor executor != Evaluator::eval (seek {}, bulk {}, twig {}, batch {})",
         eval.use_skip_index,
         eval.columnar_kernels,
         eval.use_twigstack,
@@ -321,15 +323,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The pipelined batch executor returns exactly the materialized
-    /// evaluator's relation — same rows, same order — on random XMark
-    /// and DBLP twig plans (both the fused holistic form and the binary
-    /// cascade), across batch sizes down to one row per batch.
+    /// The pipelined batch executor — which serves streamed *and*
+    /// materialized answers — returns exactly the `Evaluator::eval`
+    /// oracle's relation (same rows, same order) on random XMark and
+    /// DBLP twig plans (both the fused holistic form and the binary
+    /// cascade), at batch sizes 1, 7 and 1024.
     #[test]
     fn streamed_matches_materialized(
         spec in prop::collection::vec((0usize..10, 0usize..8, 0usize..2), 2..7),
         dblp_sel in 0usize..2,
-        batch_pick in 0usize..4,
     ) {
         let (doc, w) = random_twig(&spec, dblp_sel == 1);
         let idx = storage::IdStreamIndex::build(&doc);
@@ -337,17 +339,130 @@ proptest! {
             return Ok(()); // label absent: no ids_* relation to scan
         }
         let cat = uload_bench::experiments::twig_catalog(&doc);
-        let batch_size = [1usize, 2, 7, 1024][batch_pick];
-        for (plan, twig_on) in [
-            (w.twig_plan(), true),
-            (w.twig_plan(), false), // exercises the cascade fallback
-            (w.cascade_plan(), true),
-        ] {
-            let eval = algebra::EvalConfig {
-                use_twigstack: twig_on,
+        for batch_size in [1usize, 7, 1024] {
+            for (plan, twig_on) in [
+                (w.twig_plan(), true),
+                (w.twig_plan(), false), // exercises the cascade fallback
+                (w.cascade_plan(), true),
+            ] {
+                let eval = algebra::EvalConfig {
+                    use_twigstack: twig_on,
+                    ..Default::default()
+                };
+                materialized_and_streamed(&plan, &cat, eval, batch_size)?;
+            }
+        }
+    }
+}
+
+/// A random `Project`/`Select` over a chain of `Navigate` steps from the
+/// root element: step `k` = (label, axis, mode, source ID column), the
+/// select = (kind, column), the projection = columns and distinctness.
+/// Labels include `*`, a label absent from the document and an
+/// attribute label.
+fn random_navigation(
+    steps: &[(usize, usize, usize, usize)],
+    sel: (usize, usize, usize),
+    cols: &[usize],
+    top: usize,
+) -> algebra::LogicalPlan {
+    use algebra::{Axis, LogicalPlan, NavMode, Operand, Path, Predicate, Template, Value};
+    let labels = ["a", "b", "c", "d", "item", "name", "*", "zzz", "@x"];
+    let mut plan = LogicalPlan::scan("r");
+    let mut ids = vec!["ID".to_string()];
+    let mut all: Vec<String> = ["ID", "Tag", "Val", "Cont"].map(String::from).to_vec();
+    let (sel_kind, sel_col, sel_at) = sel;
+    let select = |plan: LogicalPlan, all: &[String]| {
+        let col = all[sel_col % all.len()].clone();
+        let pred = match sel_kind {
+            1 => Predicate::NotNull(Path::new(col)),
+            2 => Predicate::eq(col, Value::str("v")),
+            3 => Predicate::Cmp(
+                Operand::Col(Path::new(col)),
+                algebra::CmpOp::Contains,
+                Operand::Const(Value::str("<")),
+            ),
+            _ => Predicate::IsNull(Path::new(col)),
+        };
+        plan.select(pred)
+    };
+    for (k, &(label, axis, mode, from)) in steps.iter().enumerate() {
+        if sel_kind > 0 && sel_at % (steps.len() + 1) == k {
+            plan = select(plan, &all);
+        }
+        let prefix = format!("n{k}");
+        let mode = [NavMode::Flat, NavMode::Outer, NavMode::Exists][mode];
+        plan = LogicalPlan::Navigate {
+            input: Box::new(plan),
+            from_attr: Path::new(ids[from % ids.len()].clone()),
+            axis: if axis == 1 {
+                Axis::Child
+            } else {
+                Axis::Descendant
+            },
+            label: labels[label].into(),
+            as_prefix: prefix.clone(),
+            mode,
+        };
+        if mode != NavMode::Exists {
+            ids.push(format!("{prefix}_ID"));
+            for c in ["ID", "Val", "Cont"] {
+                all.push(format!("{prefix}_{c}"));
+            }
+        }
+    }
+    if sel_kind > 0 && sel_at % (steps.len() + 1) == steps.len() {
+        plan = select(plan, &all);
+    }
+    let picked: Vec<&str> = cols.iter().map(|&c| all[c % all.len()].as_str()).collect();
+    plan = if top % 2 == 1 {
+        plan.project_distinct(&picked)
+    } else {
+        plan.project(&picked)
+    };
+    if top >= 2 {
+        plan = LogicalPlan::XmlTemplate {
+            input: Box::new(plan),
+            templ: Template::elem("r", vec![Template::attr(picked[0])]),
+        };
+    }
+    plan
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Column demand is invisible to answers: on random documents, a
+    /// random `Project`/`Select` over a random `Navigate` chain — whose
+    /// unread `_Val`/`_Cont` columns the cursors never compute — drained
+    /// at batch sizes 1, 7 and 1024 equals `Evaluator::eval` (which
+    /// demands every column) byte for byte, schema included.
+    #[test]
+    fn column_demand_never_changes_answers(
+        doc in arb_document(),
+        steps in prop::collection::vec((0usize..9, 0usize..2, 0usize..3, 0usize..8), 1..5),
+        sel in (0usize..5, 0usize..32, 0usize..8),
+        cols in prop::collection::vec(0usize..32, 1..4),
+        top in 0usize..4,
+    ) {
+        let mut cat = algebra::Catalog::new();
+        cat.insert_ordered(
+            "r",
+            algebra::eval::tag_derived(&doc, "root"),
+            algebra::OrderSpec::by("ID"),
+        );
+        let plan = random_navigation(&steps, sel, &cols, top);
+        let oracle = algebra::Evaluator::with_document(&cat, &doc).eval(&plan).unwrap();
+        for batch_size in [1usize, 7, 1024] {
+            let ccfg = algebra::CursorConfig {
+                batch_size,
                 ..Default::default()
             };
-            materialized_and_streamed(&plan, &cat, eval, batch_size)?;
+            let got = algebra::build_cursor(&plan, &cat, Some(&doc), &ccfg)
+                .unwrap()
+                .collect()
+                .unwrap();
+            prop_assert_eq!(&got, &oracle, "batch {} plan {}", batch_size, plan);
         }
     }
 }
@@ -616,9 +731,11 @@ proptest! {
     /// Cardinality feedback is invisible to answers: an engine whose
     /// `StatsStore` holds profiled runs plus adversarial synthetic skew
     /// (every node flagged mispredicted, the arm choice flagged wrong)
-    /// returns byte-identical results to a cold engine — materialized,
-    /// streamed (where the skew arms the mid-query fallover hint), and
-    /// through the adaptive prepare path that may pick the other arm.
+    /// returns exactly the `Evaluator::eval` oracle's rows, as does a
+    /// cold engine — materialized and streamed (both drain the cursor
+    /// executor; the skew arms its mid-query fallover hint), through the
+    /// adaptive prepare path that may pick the other arm, and at batch
+    /// sizes 1, 7 and 1024.
     #[test]
     fn feedback_never_changes_answers(
         qsel in 0usize..3,
@@ -626,13 +743,13 @@ proptest! {
         observations in 1usize..4,
     ) {
         let doc = generate::xmark(2, 13);
-        let build = || {
+        let build = |batch_size: usize| {
             let mut cfg = uload::EngineConfig::default();
             cfg.rewrite.allow_navigation = false;
             let mut u = uload::Uload::builder()
                 .document(&doc)
                 .config(cfg)
-                .batch_size(7)
+                .batch_size(batch_size)
                 .build()
                 .unwrap();
             u.add_view_text("v_items", "//item[id:s]", &doc).unwrap();
@@ -644,45 +761,61 @@ proptest! {
             r#"for $n in doc("X")//item/name return <r>{$n}</r>"#,
             r#"doc("X")//name"#,
         ][qsel];
-        let cold = build();
-        let warm = build();
+        for batch_size in [1usize, 7, 1024] {
+            let cold = build(batch_size);
+            let warm = build(batch_size);
 
-        // populate warm's store with real profiled runs, then poison it
-        // with synthetic skew under the plan's own fingerprint
-        let fp = warm.prepare_query(query).unwrap().fingerprint();
-        for _ in 0..observations {
-            let (_, _, mut profile) = warm.answer_profiled(query, &doc).unwrap();
-            skew_profile(&mut profile.plan, skew);
-            if let Some(arm) = profile.arm.as_mut() {
-                arm.mispredicted = true;
+            // the oracle: the cold plan, fully materialized by the
+            // reference evaluator
+            let oracle: Vec<String> = {
+                let prep = cold.prepare_query(query).unwrap();
+                let ev = algebra::Evaluator::with_document(cold.store().catalog(), &doc);
+                let rel = ev.eval(prep.plan()).unwrap();
+                rel.tuples
+                    .iter()
+                    .map(|t| t.get(0).as_str().unwrap_or("").to_string())
+                    .collect()
+            };
+
+            // populate warm's store with real profiled runs, then poison
+            // it with synthetic skew under the plan's own fingerprint
+            let fp = warm.prepare_query(query).unwrap().fingerprint();
+            for _ in 0..observations {
+                let (_, _, mut profile) = warm.answer_profiled(query, &doc).unwrap();
+                skew_profile(&mut profile.plan, skew);
+                if let Some(arm) = profile.arm.as_mut() {
+                    arm.mispredicted = true;
+                }
+                warm.stats_store().record_profile(0, fp, &profile);
             }
-            warm.stats_store().record_profile(0, fp, &profile);
+            prop_assert!(warm.stats_store().has_feedback(0, fp), "store never populated");
+            prop_assert!(cold.stats_store().is_empty());
+
+            // materialized path
+            let (rows_cold, _) = cold.answer(query, &doc).unwrap();
+            let (rows_warm, _) = warm.answer(query, &doc).unwrap();
+            prop_assert_eq!(&rows_cold, &oracle, "cold materialized != oracle (batch {})", batch_size);
+            prop_assert_eq!(&rows_warm, &oracle, "feedback changed materialized answers (batch {})", batch_size);
+
+            // streamed path: the skewed arm stats arm the fallover hint
+            let drain = |u: &uload::Uload| -> Vec<String> {
+                let res = u.query(query, &doc).unwrap();
+                res.map(|item| item.unwrap()).collect()
+            };
+            prop_assert_eq!(&drain(&cold), &oracle, "cold streamed != oracle (batch {})", batch_size);
+            prop_assert_eq!(&drain(&warm), &oracle, "feedback changed streamed answers (batch {})", batch_size);
+
+            // adaptive prepare: whatever arm the feedback picks, the
+            // rows are the oracle's rows
+            let prep_cold = cold.prepare_query(query).unwrap();
+            let prep_warm = warm.prepare_query_for_version(query, 0).unwrap();
+            let h1 = uload::DocumentHandle::new(doc.clone());
+            let out_cold = cold.execute_prepared(&prep_cold, &h1).unwrap();
+            let out_warm = warm.execute_prepared(&prep_warm, &h1).unwrap();
+            let xml = |o: &uload::QueryOutput| o.items.iter().map(|i| i.xml.clone()).collect::<Vec<_>>();
+            prop_assert_eq!(&xml(&out_cold), &oracle, "cold prepared != oracle (batch {})", batch_size);
+            prop_assert_eq!(&xml(&out_warm), &oracle, "adaptive prepare changed answers (batch {})", batch_size);
         }
-        prop_assert!(warm.stats_store().has_feedback(0, fp), "store never populated");
-        prop_assert!(cold.stats_store().is_empty());
-
-        // materialized path
-        let (rows_cold, _) = cold.answer(query, &doc).unwrap();
-        let (rows_warm, _) = warm.answer(query, &doc).unwrap();
-        prop_assert_eq!(&rows_cold, &rows_warm, "feedback changed materialized answers");
-
-        // streamed path: the skewed arm stats arm the fallover hint
-        let drain = |u: &uload::Uload| -> Vec<String> {
-            let res = u.query(query, &doc).unwrap();
-            res.map(|item| item.unwrap()).collect()
-        };
-        prop_assert_eq!(&drain(&cold), &rows_cold, "cold streamed != materialized");
-        prop_assert_eq!(&drain(&warm), &rows_cold, "feedback changed streamed answers");
-
-        // adaptive prepare: whatever arm the feedback picks, the rows
-        // are the cold plan's rows
-        let prep_cold = cold.prepare_query(query).unwrap();
-        let prep_warm = warm.prepare_query_for_version(query, 0).unwrap();
-        let h1 = uload::DocumentHandle::new(doc.clone());
-        let out_cold = cold.execute_prepared(&prep_cold, &h1).unwrap();
-        let out_warm = warm.execute_prepared(&prep_warm, &h1).unwrap();
-        let xml = |o: &uload::QueryOutput| o.items.iter().map(|i| i.xml.clone()).collect::<Vec<_>>();
-        prop_assert_eq!(xml(&out_cold), xml(&out_warm), "adaptive prepare changed answers");
     }
 }
 
