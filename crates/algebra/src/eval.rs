@@ -552,7 +552,7 @@ fn derived(doc: &Document, label: Option<&str>, kind: NodeKind) -> Relation {
                 Value::Id(doc.structural_id(n)),
                 Value::str(doc.label(n)),
                 Value::str(doc.value(n)),
-                Value::str(doc.content(n)),
+                Value::str(doc.content_str(n)),
             ])
         })
         .collect();

@@ -834,7 +834,7 @@ impl<'a> Unary<'a> {
                             let n = NodeId(sid.pre);
                             match what {
                                 FetchWhat::Val => Value::str(doc.value(n)),
-                                FetchWhat::Cont => Value::str(doc.content(n)),
+                                FetchWhat::Cont => Value::str(doc.content_str(n)),
                                 FetchWhat::Tag => Value::str(doc.label(n)),
                             }
                         }
@@ -954,7 +954,7 @@ impl<'a> Nav<'a> {
             t.0.push(Value::str(self.doc.value(m)));
         }
         if self.cont {
-            t.0.push(Value::str(self.doc.content(m)));
+            t.0.push(Value::str(self.doc.content_str(m)));
         }
     }
 

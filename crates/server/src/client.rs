@@ -58,7 +58,8 @@ impl Client {
     /// Connect to a serving [`BindAddr`] (TCP or Unix).
     pub fn connect(addr: &BindAddr) -> Result<Client> {
         let conn = connect(addr)?;
-        let reader = BufReader::new(conn.try_clone_box()?);
+        // matches the server's 64 KiB writes of `ROW` frames
+        let reader = BufReader::with_capacity(64 << 10, conn.try_clone_box()?);
         Ok(Client { conn, reader })
     }
 

@@ -35,43 +35,74 @@
 //! `BYE`.
 //!
 //! Row payloads and error messages are escaped so embedded newlines
-//! cannot break framing ([`escape`]/[`unescape`]).
+//! cannot break framing ([`escape`]/[`unescape`], and [`write_row`],
+//! which escapes a row straight into the session's writer).
+
+use std::io::{self, Write};
 
 use storage::DocumentVersion;
+
+/// Split `s` into the runs of its single-line transport form: `\` →
+/// `\\`, newline → `\n`, carriage return → `\r`; everything else is
+/// copied through in runs.
+fn escape_runs<E>(s: &str, mut put: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            _ => continue,
+        };
+        put(&s[start..i])?;
+        put(escaped)?;
+        start = i + 1;
+    }
+    put(&s[start..])
+}
 
 /// Escape a payload for single-line transport: `\` → `\\`,
 /// newline → `\n`, carriage return → `\r`.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
+    let Ok(()) = escape_runs::<std::convert::Infallible>(s, |run| {
+        out.push_str(run);
+        Ok(())
+    });
     out
 }
 
 /// Invert [`escape`]. Unknown escapes pass the escaped char through.
 pub fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('\\') => out.push('\\'),
-                Some(other) => out.push(other),
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
+    let mut rest = s;
+    while let Some(i) = rest.find('\\') {
+        out.push_str(&rest[..i]);
+        let mut tail = rest[i + 1..].chars();
+        match tail.next() {
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some(other) => out.push(other),
+            None => out.push('\\'),
         }
+        rest = tail.as_str();
     }
+    out.push_str(rest);
     out
+}
+
+/// `ROW <escaped-payload>` as an owned line without its newline, for
+/// callers that measure frames; the server writes rows with
+/// [`write_row`].
+pub fn row_line(xml: &str) -> String {
+    format!("ROW {}", escape(xml))
+}
+
+/// Write one `ROW <escaped-payload>` line, escaping straight into `w`.
+pub fn write_row(w: &mut impl Write, xml: &str) -> io::Result<()> {
+    w.write_all(b"ROW ")?;
+    escape_runs(xml, |run| w.write_all(run.as_bytes()))?;
+    w.write_all(b"\n")
 }
 
 /// A parsed request line.
@@ -118,11 +149,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// `PREPARED fp=<hex>`
 pub fn prepared_line(fp: u64) -> String {
     format!("PREPARED fp={fp:016x}")
-}
-
-/// `ROW <escaped-payload>`
-pub fn row_line(xml: &str) -> String {
-    format!("ROW {}", escape(xml))
 }
 
 /// `DONE rows=<n> cached=<bool> fp=<hex> version=<v> ns=<n>`

@@ -25,7 +25,7 @@ use crate::cache::ResultCache;
 use crate::conn::{is_poll_timeout, BindAddr, Conn, Listener};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
-    cancelled_line, done_line, err_line, parse_request, prepared_line, row_line, Request,
+    cancelled_line, done_line, err_line, parse_request, prepared_line, write_row, Request,
 };
 use crate::slowlog::{SlowDisposition, SlowLog, SlowQueryEntry};
 
@@ -702,7 +702,10 @@ fn read_frame(reader: &mut BufReader<Box<dyn Conn>>, line: &mut String) -> std::
 
 fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::Result<()> {
     conn.set_read_timeout_d(Some(state.config.idle_poll))?;
-    let mut writer = BufWriter::new(conn.try_clone_box()?);
+    // rows go out in 64 KiB writes: an `EXEC` answer of hundreds of KiB
+    // in 8 KiB ones woke the reading client for each, and tripled the
+    // context switches of a loaded server
+    let mut writer = BufWriter::with_capacity(64 << 10, conn.try_clone_box()?);
     let mut reader = BufReader::new(conn.try_clone_box()?);
     tracing::debug!(target: "uload::server", "session {id} started");
     let out = serve_session(id, state, &mut reader, &mut writer);
@@ -923,8 +926,7 @@ fn execute(
         counters.rc_hits += 1;
         state.metrics.result_cache_hits.inc();
         for xml in rows.iter() {
-            writer.write_all(row_line(xml).as_bytes())?;
-            writer.write_all(b"\n")?;
+            write_row(writer, xml)?;
         }
         writer.flush()?;
         let elapsed = started.elapsed();
@@ -1009,13 +1011,12 @@ fn execute(
         match results.next_batch() {
             Ok(Some(batch)) => {
                 for t in batch.tuples.iter() {
-                    let xml = t.get(0).as_str().unwrap_or("").to_string();
-                    writer.write_all(row_line(&xml).as_bytes())?;
-                    writer.write_all(b"\n")?;
+                    let xml = t.get(0).as_str().unwrap_or("");
+                    write_row(writer, xml)?;
                     emitted += 1;
                     if let Some(c) = collected.as_mut() {
                         if c.len() < state.config.result_cache_max_rows {
-                            c.push(xml);
+                            c.push(xml.to_string());
                         } else {
                             collected = None; // too big to memoize
                         }

@@ -205,7 +205,7 @@ impl ContentStore {
                 .map(|n| {
                     Tuple::new(vec![
                         Value::Id(doc.structural_id(n)),
-                        Value::str(doc.content(n)),
+                        Value::str(doc.content_str(n)),
                     ])
                 })
                 .collect();

@@ -4,8 +4,11 @@
 //! [`NodeId`], a dense index into the arena assigned in *document order*
 //! (pre-order), so the `pre` component of a node's structural identifier is
 //! exactly its `NodeId`. Elements, attributes and text nodes are all
-//! first-class; the paper's element *value* (`text()` result) and *content*
-//! (serialized subtree) are derived on demand.
+//! first-class. Text and attribute payloads live in one per-document arena.
+//! Sealing writes the document's canonical serialization once and records
+//! every node's `[start, end)` span in it, so the paper's *content*
+//! (serialized subtree) of any node is a slice; the element *value*
+//! (`text()` result) is derived on demand.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -49,17 +52,26 @@ pub enum NodeKind {
     Text,
 }
 
-#[derive(Debug, Clone)]
+/// One node's record, including what sealing derives for it (its content
+/// span and where its children start), so that a document is four large
+/// buffers — nodes, text, serialization, children — plus its labels.
+#[derive(Debug, Clone, Copy)]
 struct NodeData {
     kind: NodeKind,
     /// Interned label id. For text nodes, the id of `#text`.
     label: u32,
     parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    /// Direct textual payload: attribute value or text-node characters.
-    /// `None` for elements.
-    text: Option<Box<str>>,
-    /// Post-order rank, filled in when the document is sealed.
+    /// Direct textual payload (attribute value or text-node characters)
+    /// as a `[start, end)` byte span of [`Document::text`]; empty for
+    /// elements.
+    text: [u32; 2],
+    /// `[start, end)` byte span of the node's content in
+    /// [`Document::xml`], recorded when the document is sealed.
+    span: [u32; 2],
+    /// While building, the number of children; once sealed, where they
+    /// start in [`Document::kids`] (they end where the next node's start).
+    kids: u32,
+    /// Post-order rank, assigned when the node's subtree is complete.
     post: u32,
     /// Depth: root element has depth 1.
     depth: u16,
@@ -73,6 +85,12 @@ pub struct Document {
     nodes: Vec<NodeData>,
     labels: Vec<Box<str>>,
     label_ids: HashMap<Box<str>, u32>,
+    /// Every text and attribute payload, concatenated in document order.
+    text: String,
+    /// The canonical serialization of the root, written once when sealed.
+    xml: String,
+    /// Every node's children, grouped by parent in document order.
+    kids: Vec<NodeId>,
 }
 
 impl Document {
@@ -126,7 +144,12 @@ impl Document {
     /// Children of `n` in document order (attributes first, then
     /// element/text children, matching construction order).
     pub fn children(&self, n: NodeId) -> &[NodeId] {
-        &self.nodes[n.index()].children
+        let i = n.index();
+        let end = self
+            .nodes
+            .get(i + 1)
+            .map_or(self.kids.len(), |d| d.kids as usize);
+        &self.kids[self.nodes[i].kids as usize..end]
     }
 
     /// `(pre, post, depth)` structural identifier of `n` (§1.2.1).
@@ -168,20 +191,24 @@ impl Document {
     /// payload; for elements, the concatenation of all descendant text, in
     /// document order (the XPath `text()`-derived string value).
     pub fn value(&self, n: NodeId) -> String {
-        let d = &self.nodes[n.index()];
-        if let Some(t) = &d.text {
-            return t.to_string();
+        if self.kind(n) != NodeKind::Element {
+            return self.payload(n).to_string();
         }
         let mut out = String::new();
         self.collect_text(n, &mut out);
         out
     }
 
+    /// Text or attribute payload of `n`; empty for elements.
+    fn payload(&self, n: NodeId) -> &str {
+        let [start, end] = self.nodes[n.index()].text;
+        &self.text[start as usize..end as usize]
+    }
+
     fn collect_text(&self, n: NodeId, out: &mut String) {
         for &c in self.children(n) {
-            let d = &self.nodes[c.index()];
-            match d.kind {
-                NodeKind::Text => out.push_str(d.text.as_deref().unwrap_or("")),
+            match self.kind(c) {
+                NodeKind::Text => out.push_str(self.payload(c)),
                 NodeKind::Element => self.collect_text(c, out),
                 NodeKind::Attribute => {}
             }
@@ -189,11 +216,17 @@ impl Document {
     }
 
     /// The *content* of a node (§1.1): the serialization of the subtree
-    /// rooted at `n` (for attributes, `name="value"`).
+    /// rooted at `n` (for attributes, `name="value"`), as an owned copy of
+    /// [`Document::content_str`].
     pub fn content(&self, n: NodeId) -> String {
-        let mut out = String::new();
-        crate::parser::serialize_node(self, n, &mut out);
-        out
+        self.content_str(n).to_string()
+    }
+
+    /// The *content* of `n`, borrowed: a slice of the document's canonical
+    /// serialization, which sealing writes once.
+    pub fn content_str(&self, n: NodeId) -> &str {
+        let [start, end] = self.nodes[n.index()].span;
+        &self.xml[start as usize..end as usize]
     }
 
     /// Iterator over all nodes in document (pre) order.
@@ -286,6 +319,10 @@ impl Document {
 pub struct DocumentBuilder {
     doc: Document,
     stack: Vec<NodeId>,
+    /// Post rank of the next node whose subtree completes.
+    next_post: u32,
+    /// Interned id of `#text`, once a text node has used it.
+    text_label: Option<u32>,
 }
 
 impl Default for DocumentBuilder {
@@ -301,9 +338,36 @@ impl DocumentBuilder {
                 nodes: Vec::new(),
                 labels: Vec::new(),
                 label_ids: HashMap::new(),
+                text: String::new(),
+                xml: String::new(),
+                kids: Vec::new(),
             },
             stack: Vec::new(),
+            next_post: 0,
+            text_label: None,
         }
+    }
+
+    /// A builder whose node and text arenas are sized for parsing `xml`,
+    /// so that a parse fills one allocation of each instead of a chain of
+    /// doublings whose freed steps fragment the heap. The payloads
+    /// together are never longer than the input they are parsed from.
+    /// Elements and text nodes number about as many as `<`s (a start tag
+    /// has one, a text run ends at one) and attributes as `=`s; mixed
+    /// content around empty elements can exceed that, and the node arena
+    /// then grows.
+    pub(crate) fn sized_for(xml: &str) -> DocumentBuilder {
+        let (mut tags, mut attrs) = (0usize, 0usize);
+        for &b in xml.as_bytes() {
+            tags += usize::from(b == b'<');
+            attrs += usize::from(b == b'=');
+        }
+        let mut b = DocumentBuilder::new();
+        // input that is mostly `<` is not a document; if it cannot be
+        // reserved for, the arenas just grow as the parse fills them
+        let _ = b.doc.nodes.try_reserve_exact(tags + attrs);
+        let _ = b.doc.text.try_reserve_exact(xml.len());
+        b
     }
 
     fn intern(&mut self, label: &str) -> u32 {
@@ -317,15 +381,14 @@ impl DocumentBuilder {
         id
     }
 
-    fn push_node(&mut self, kind: NodeKind, label: &str, text: Option<&str>) -> NodeId {
-        let label = self.intern(label);
+    fn push_node(&mut self, kind: NodeKind, label: u32, payload: &str) -> NodeId {
         let id = NodeId(self.doc.nodes.len() as u32);
         let parent = self.stack.last().copied();
         let depth = parent
             .map(|p| self.doc.nodes[p.index()].depth + 1)
             .unwrap_or(1);
         if let Some(p) = parent {
-            self.doc.nodes[p.index()].children.push(id);
+            self.doc.nodes[p.index()].kids += 1;
         } else {
             assert!(
                 self.doc.nodes.is_empty(),
@@ -333,43 +396,71 @@ impl DocumentBuilder {
             );
             assert_eq!(kind, NodeKind::Element, "root must be an element");
         }
+        let start = self.doc.text.len();
+        self.doc.text.push_str(payload);
+        let text = [start, self.doc.text.len()]
+            .map(|o| u32::try_from(o).expect("document text exceeds u32 offsets"));
+        // a leaf's subtree is complete once pushed; an element's when closed
+        let post = if kind == NodeKind::Element {
+            0
+        } else {
+            self.take_post()
+        };
         self.doc.nodes.push(NodeData {
             kind,
             label,
             parent,
-            children: Vec::new(),
-            text: text.map(Into::into),
-            post: 0,
+            text,
+            span: [0; 2],
+            kids: 0,
+            post,
             depth,
         });
         id
     }
 
+    fn take_post(&mut self) -> u32 {
+        let post = self.next_post;
+        self.next_post += 1;
+        post
+    }
+
     /// Open a new element as the next child of the currently open element
     /// (or as the root). Returns its id.
     pub fn open_element(&mut self, label: &str) -> NodeId {
-        let id = self.push_node(NodeKind::Element, label, None);
+        let label = self.intern(label);
+        let id = self.push_node(NodeKind::Element, label, "");
         self.stack.push(id);
         id
     }
 
     /// Close the currently open element.
     pub fn close_element(&mut self) {
-        self.stack
+        let id = self
+            .stack
             .pop()
             .expect("close_element without matching open_element");
+        self.doc.nodes[id.index()].post = self.take_post();
     }
 
     /// Attach an attribute to the currently open element.
     pub fn attribute(&mut self, name: &str, value: &str) -> NodeId {
         assert!(!self.stack.is_empty(), "attribute outside any element");
-        self.push_node(NodeKind::Attribute, name, Some(value))
+        let label = self.intern(name);
+        self.push_node(NodeKind::Attribute, label, value)
     }
 
     /// Attach a text leaf to the currently open element.
     pub fn text(&mut self, chars: &str) -> NodeId {
         assert!(!self.stack.is_empty(), "text outside any element");
-        self.push_node(NodeKind::Text, "#text", Some(chars))
+        let label = match self.text_label {
+            Some(id) => id,
+            None => {
+                let id = self.intern("#text");
+                *self.text_label.insert(id)
+            }
+        };
+        self.push_node(NodeKind::Text, label, chars)
     }
 
     /// Convenience: `<label>text</label>` as a single call.
@@ -380,29 +471,163 @@ impl DocumentBuilder {
         id
     }
 
-    /// Finish construction: assigns post-order ranks and returns the
-    /// immutable document. Panics if elements remain open or the document is
-    /// empty.
-    pub fn finish(mut self) -> Document {
+    /// Finish construction: groups children by parent, writes the
+    /// canonical serialization and returns the immutable document. Panics
+    /// if elements remain open, the document is empty, or its
+    /// serialization does not fit `u32` offsets.
+    pub fn finish(self) -> Document {
+        self.try_finish()
+            .expect("document serialization exceeds u32 offsets")
+    }
+
+    /// [`DocumentBuilder::finish`], but `None` when the serialization does
+    /// not fit `u32` offsets.
+    pub(crate) fn try_finish(mut self) -> Option<Document> {
         assert!(self.stack.is_empty(), "unclosed elements at finish()");
         assert!(!self.doc.nodes.is_empty(), "empty document");
-        // Iterative post-order numbering.
-        let mut counter: u32 = 0;
-        let mut visit: Vec<(NodeId, bool)> = vec![(NodeId::ROOT, false)];
-        while let Some((n, expanded)) = visit.pop() {
-            if expanded {
-                self.doc.nodes[n.index()].post = counter;
-                counter += 1;
-            } else {
-                visit.push((n, true));
-                let children = self.doc.nodes[n.index()].children.clone();
-                for c in children.into_iter().rev() {
-                    visit.push((c, false));
-                }
+        // child counts become where each node's children start
+        let mut next = 0;
+        for d in &mut self.doc.nodes {
+            let count = d.kids;
+            d.kids = next;
+            next += count;
+        }
+        let Document {
+            nodes,
+            labels,
+            text,
+            xml,
+            kids,
+            ..
+        } = &mut self.doc;
+        *kids = vec![NodeId::ROOT; nodes.len() - 1];
+        let mut measure = 0usize;
+        write_xml(nodes, labels, text, kids, &mut measure)?;
+        *xml = String::with_capacity(measure);
+        write_xml(nodes, labels, text, kids, xml).expect("offsets within the measure");
+        debug_assert_eq!(xml.len(), measure);
+        Some(self.doc)
+    }
+}
+
+/// Destination of [`write_xml`]: sealing first measures the serialization
+/// with a `usize`, then writes it into a `String` of exactly that size.
+trait Sink {
+    fn put(&mut self, s: &str);
+    fn pos(&self) -> usize;
+}
+
+impl Sink for usize {
+    fn put(&mut self, s: &str) {
+        *self += s.len();
+    }
+    fn pos(&self) -> usize {
+        *self
+    }
+}
+
+impl Sink for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+    fn pos(&self) -> usize {
+        self.len()
+    }
+}
+
+/// Write the canonical serialization of the nodes, one pass in document
+/// order, recording each node's content span as it ends and placing each
+/// node in its parent's group of `kids`; `None` if an offset does not fit
+/// `u32`. An element with no child other than its leading attributes
+/// closes as `<a/>`; an attribute serializes as `name="value"` (after a
+/// space while inside its start tag).
+fn write_xml(
+    nodes: &mut [NodeData],
+    labels: &[Box<str>],
+    text: &str,
+    kids: &mut [NodeId],
+    out: &mut impl Sink,
+) -> Option<()> {
+    // open elements: (node, content start, still inside its start tag,
+    // slot of its next child in `kids`)
+    let mut open: Vec<(usize, usize, bool, u32)> = Vec::new();
+    let span =
+        |start: usize, end: usize| Some([u32::try_from(start).ok()?, u32::try_from(end).ok()?]);
+    for i in 0..nodes.len() {
+        let d = nodes[i];
+        while let Some(&(e, start, in_tag, _)) = open.last() {
+            if d.parent == Some(NodeId(e as u32)) {
+                break;
+            }
+            open.pop();
+            end_tag(out, &labels[nodes[e].label as usize], in_tag);
+            nodes[e].span = span(start, out.pos())?;
+        }
+        if let Some(top) = open.last_mut() {
+            kids[top.3 as usize] = NodeId(i as u32);
+            top.3 += 1;
+            if d.kind == NodeKind::Attribute && top.2 {
+                out.put(" ");
+            } else if top.2 {
+                out.put(">");
+                top.2 = false;
             }
         }
-        self.doc
+        let start = out.pos();
+        let label = &*labels[d.label as usize];
+        let payload = &text[d.text[0] as usize..d.text[1] as usize];
+        match d.kind {
+            NodeKind::Element => {
+                out.put("<");
+                out.put(label);
+                open.push((i, start, true, d.kids));
+                continue;
+            }
+            NodeKind::Attribute => {
+                out.put(label);
+                out.put("=\"");
+                escape_runs(payload, true, |s| out.put(s));
+                out.put("\"");
+            }
+            NodeKind::Text => escape_runs(payload, false, |s| out.put(s)),
+        }
+        nodes[i].span = span(start, out.pos())?;
     }
+    while let Some((e, start, in_tag, _)) = open.pop() {
+        end_tag(out, &labels[nodes[e].label as usize], in_tag);
+        nodes[e].span = span(start, out.pos())?;
+    }
+    Some(())
+}
+
+/// Close an element: `/>` while still inside its start tag, else `</label>`.
+fn end_tag(out: &mut impl Sink, label: &str, in_tag: bool) {
+    if in_tag {
+        out.put("/>");
+    } else {
+        out.put("</");
+        out.put(label);
+        out.put(">");
+    }
+}
+
+/// Split `s` into the runs of its escaped form: `&`, `<` and `>` become
+/// entity references, and so does `"` when `attr` is set.
+fn escape_runs(s: &str, attr: bool, mut put: impl FnMut(&str)) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attr => "&quot;",
+            _ => continue,
+        };
+        put(&s[start..i]);
+        put(entity);
+        start = i + 1;
+    }
+    put(&s[start..]);
 }
 
 #[cfg(test)]
@@ -542,6 +767,38 @@ mod tests {
         assert_eq!(d.dewey_id(c).steps(), &[1]);
         let at = d.children(c)[0];
         assert_eq!(d.dewey_id(at).steps(), &[1, 0]);
+    }
+
+    #[test]
+    fn builder_and_parsed_serialization_share_spans() {
+        let mut b = DocumentBuilder::new();
+        b.open_element("site");
+        b.attribute("q", "\"<&>'é");
+        b.leaf_element("name", "a < b & c > \"d\"");
+        b.open_element("empty");
+        b.attribute("k", "");
+        b.close_element();
+        b.open_element("mixed");
+        b.text("日本 ");
+        b.leaf_element("b", "x");
+        b.text(" tail");
+        b.close_element();
+        b.close_element();
+        let built = b.finish();
+        let root = built.content_str(built.root());
+        assert_eq!(
+            root,
+            "<site q=\"&quot;&lt;&amp;&gt;'é\"><name>a &lt; b &amp; c &gt; \"d\"</name>\
+             <empty k=\"\"/><mixed>日本 <b>x</b> tail</mixed></site>"
+        );
+        let parsed = crate::parser::parse_document(root).unwrap();
+        let spans = |d: &Document| d.nodes.iter().map(|n| n.span).collect::<Vec<_>>();
+        assert_eq!(spans(&parsed), spans(&built));
+        assert_eq!(parsed.xml, built.xml);
+        assert_eq!(parsed.text, built.text);
+        assert_eq!(built.xml.capacity(), built.xml.len());
+        let q = built.children(built.root())[0];
+        assert_eq!(built.content_str(q), "q=\"&quot;&lt;&amp;&gt;'é\"");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   pre/post-plane predicates (ancestor, descendant, precede, follow);
 //! * [`dewey`] — navigational structural identifiers in the style of
 //!   DeweyIDs/ORDPATHs, from which a parent's identifier is derivable;
-//! * [`parser`] — a hand-rolled, dependency-free XML parser and serializer;
+//! * [`parser`] — a hand-rolled, dependency-free XML parser (sealing a
+//!   [`Document`] writes its canonical serialization);
 //! * [`generate`] — deterministic synthetic document generators standing in
 //!   for the paper's datasets (XMark, DBLP, Shakespeare, NASA, SwissProt and
 //!   the running `bib.xml` examples).

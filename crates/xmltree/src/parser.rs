@@ -1,4 +1,5 @@
-//! A hand-rolled XML parser and serializer.
+//! A hand-rolled XML parser. The serializer is part of sealing a
+//! [`Document`]: see [`Document::content_str`].
 //!
 //! The paper assumes stored documents exist; this module is the substrate
 //! that materializes them from text. It covers the XML subset the thesis
@@ -8,9 +9,10 @@
 //! and DTDs are skipped, matching the paper's schema-less stance (§2.1.4
 //! observes barely 40% of web XML has a DTD).
 
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::document::{Document, DocumentBuilder, NodeId, NodeKind};
+use crate::document::{Document, DocumentBuilder, NodeId};
 
 /// Error produced while parsing an XML document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,6 +36,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     input: &'a [u8],
     pos: usize,
     builder: DocumentBuilder,
@@ -48,10 +51,18 @@ struct Parser<'a> {
 /// assert_eq!(doc.value(doc.root()), "Data on the Web");
 /// ```
 pub fn parse_document(text: &str) -> Result<Document, ParseError> {
+    // node payloads are never longer than the input they were parsed from
+    if u32::try_from(text.len()).is_err() {
+        return Err(ParseError {
+            offset: 0,
+            message: "document text exceeds u32 offsets".to_string(),
+        });
+    }
     let mut p = Parser {
+        text,
         input: text.as_bytes(),
         pos: 0,
-        builder: DocumentBuilder::new(),
+        builder: DocumentBuilder::sized_for(text),
         depth: 0,
     };
     p.skip_misc()?;
@@ -63,7 +74,11 @@ pub fn parse_document(text: &str) -> Result<Document, ParseError> {
     if p.pos != p.input.len() {
         return Err(p.err("trailing content after root element"));
     }
-    Ok(p.builder.finish())
+    let offset = p.pos;
+    p.builder.try_finish().ok_or_else(|| ParseError {
+        offset,
+        message: "document serialization exceeds u32 offsets".to_string(),
+    })
 }
 
 impl<'a> Parser<'a> {
@@ -142,7 +157,13 @@ impl<'a> Parser<'a> {
             })
     }
 
-    fn parse_name(&mut self) -> Result<String, ParseError> {
+    /// The input between byte offsets `start` and `end`, both of which
+    /// sit on ASCII delimiters or the ends of the input.
+    fn slice(&self, start: usize, end: usize) -> &'a str {
+        &self.text[start..end]
+    }
+
+    fn parse_name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             let ok = c.is_ascii_alphanumeric()
@@ -156,7 +177,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        Ok(self.slice(start, self.pos))
     }
 
     fn parse_element(&mut self) -> Result<NodeId, ParseError> {
@@ -166,7 +187,7 @@ impl<'a> Parser<'a> {
         }
         self.expect(b"<")?;
         let name = self.parse_name()?;
-        let id = self.builder.open_element(&name);
+        let id = self.builder.open_element(name);
         // attributes
         loop {
             self.skip_ws();
@@ -198,9 +219,9 @@ impl<'a> Parser<'a> {
                         }
                         self.pos += 1;
                     }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
+                    let raw = self.slice(start, self.pos);
                     self.bump(1);
-                    self.builder.attribute(&aname, &unescape(&raw));
+                    self.builder.attribute(aname, &unescape(raw));
                 }
                 None => return Err(self.err("eof in start tag")),
             }
@@ -229,9 +250,9 @@ impl<'a> Parser<'a> {
                     } else if self.at(b"<![CDATA[") {
                         self.bump(9);
                         let end = self.find(b"]]>")?;
-                        let raw = String::from_utf8_lossy(&self.input[self.pos..end]).into_owned();
+                        let raw = self.slice(self.pos, end);
                         if !raw.is_empty() {
-                            self.builder.text(&raw);
+                            self.builder.text(raw);
                         }
                         self.pos = end + 3;
                     } else if self.at(b"<?") {
@@ -249,8 +270,7 @@ impl<'a> Parser<'a> {
                         }
                         self.pos += 1;
                     }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                    let text = unescape(&raw);
+                    let text = unescape(self.slice(start, self.pos));
                     if !text.trim().is_empty() {
                         self.builder.text(&text);
                     }
@@ -261,9 +281,9 @@ impl<'a> Parser<'a> {
 }
 
 /// Decode the predefined XML entities and decimal/hex character references.
-fn unescape(s: &str) -> String {
+fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
-        return s.to_string();
+        return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
@@ -302,74 +322,13 @@ fn unescape(s: &str) -> String {
         }
     }
     out.push_str(rest);
-    out
-}
-
-/// Escape character data for serialization.
-fn escape(s: &str, attr: bool) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if attr => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serialize the subtree rooted at `n` into `out` — the *content* of `n` in
-/// the paper's sense (§1.1). Attributes serialize as `name="value"`.
-pub fn serialize_node(doc: &Document, n: NodeId, out: &mut String) {
-    match doc.kind(n) {
-        NodeKind::Text => out.push_str(&escape(&doc.value(n), false)),
-        NodeKind::Attribute => {
-            out.push_str(doc.label(n));
-            out.push_str("=\"");
-            out.push_str(&escape(&doc.value(n), true));
-            out.push('"');
-        }
-        NodeKind::Element => {
-            out.push('<');
-            out.push_str(doc.label(n));
-            let kids = doc.children(n);
-            let mut content_start = 0;
-            for (i, &c) in kids.iter().enumerate() {
-                if doc.kind(c) == NodeKind::Attribute {
-                    out.push(' ');
-                    serialize_node(doc, c, out);
-                    content_start = i + 1;
-                } else {
-                    break;
-                }
-            }
-            if kids[content_start..].is_empty() {
-                out.push_str("/>");
-                return;
-            }
-            out.push('>');
-            for &c in &kids[content_start..] {
-                serialize_node(doc, c, out);
-            }
-            out.push_str("</");
-            out.push_str(doc.label(n));
-            out.push('>');
-        }
-    }
-}
-
-/// Serialize a whole document.
-pub fn serialize(doc: &Document) -> String {
-    let mut out = String::new();
-    serialize_node(doc, doc.root(), &mut out);
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::document::NodeKind;
 
     #[test]
     fn parses_nested_elements_and_attributes() {
@@ -414,7 +373,7 @@ mod tests {
         let t = doc.children(doc.root())[0];
         assert_eq!(doc.value(t), "<&\"");
         // serialize and reparse
-        let text = serialize(&doc);
+        let text = doc.content(doc.root());
         let doc2 = parse_document(&text).unwrap();
         assert_eq!(doc2.value(doc2.root()), "x & y AB");
     }
@@ -442,7 +401,7 @@ mod tests {
     fn serialize_roundtrips_structure() {
         let src = r#"<site><regions><item id="7"><name>gold watch</name><description><parlist><listitem>fine <bold>gold</bold></listitem></parlist></description></item></regions></site>"#;
         let d1 = parse_document(src).unwrap();
-        let text = serialize(&d1);
+        let text = d1.content(d1.root());
         let d2 = parse_document(&text).unwrap();
         assert_eq!(d1.len(), d2.len());
         for (a, b) in d1.all_nodes().zip(d2.all_nodes()) {
@@ -457,5 +416,21 @@ mod tests {
         let doc = parse_document("<a>  <b>x</b>  </a>").unwrap();
         // only the b element child, no whitespace text nodes
         assert_eq!(doc.children(doc.root()).len(), 1);
+    }
+
+    #[test]
+    fn more_nodes_than_the_sizing_estimate() {
+        // 5 `<`, no `=`, 7 nodes: the node arena grows past its estimate
+        let src = "<a>x<b/>y<c/>z<![CDATA[w]]></a>";
+        let doc = parse_document(src).unwrap();
+        assert_eq!(doc.len(), 7);
+        let kids: Vec<_> = doc
+            .children(doc.root())
+            .iter()
+            .map(|&n| doc.label(n))
+            .collect();
+        assert_eq!(kids, ["#text", "b", "#text", "c", "#text", "#text"]);
+        assert_eq!(doc.content(doc.root()), "<a>x<b/>y<c/>zw</a>");
+        assert_eq!(doc.value(doc.root()), "xyzw");
     }
 }

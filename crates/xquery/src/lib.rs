@@ -21,5 +21,5 @@ pub mod parse;
 pub mod translate;
 
 pub use extract::{extract_patterns, ExtractedQuery};
-pub use parse::{parse_query, NameTest, PathExpr, Query, QueryParseError, Step};
+pub use parse::{parse_query, NameTest, PathExpr, Query, QueryParseError, Step, MAX_QUERY_NESTING};
 pub use translate::{execute_query, execute_query_with_plan, query_plan};

@@ -133,9 +133,19 @@ pub enum Query {
     },
 }
 
+/// Deepest nesting of element constructors, parentheses and FLWOR
+/// `return`s a query may have. Parsing and every pass after it
+/// (translation, extraction, rewriting, planning, evaluation) recurse
+/// once per level, so deeper input is refused with an error instead of
+/// overflowing a thread stack; a query at the limit still runs end to
+/// end on a 2 MiB thread stack in a debug build.
+pub const MAX_QUERY_NESTING: usize = 256;
+
 struct P<'a> {
     s: &'a [u8],
     pos: usize,
+    /// Items open around the current position (see [`MAX_QUERY_NESTING`]).
+    depth: usize,
 }
 
 /// Parse a `Q` query.
@@ -150,6 +160,7 @@ pub fn parse_query(text: &str) -> Result<Query, QueryParseError> {
     let mut p = P {
         s: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let q = p.query()?;
     p.ws();
@@ -254,7 +265,18 @@ impl<'a> P<'a> {
         }
     }
 
+    /// Every nested item passes through here, which bounds the recursion.
     fn item(&mut self) -> Result<Query, QueryParseError> {
+        self.depth += 1;
+        if self.depth > MAX_QUERY_NESTING {
+            return Err(self.err("query nesting too deep"));
+        }
+        let q = self.item_body();
+        self.depth -= 1;
+        q
+    }
+
+    fn item_body(&mut self) -> Result<Query, QueryParseError> {
         self.ws();
         if self.at_kw("for") {
             return self.flwr();
@@ -519,12 +541,10 @@ impl<'a> P<'a> {
                     return Err(self.err("expected `}`"));
                 }
                 content.push(q);
-            } else if self.peek() == Some(b'<') {
-                content.push(self.constructor()?);
-            } else if self.at_kw("for") {
+            } else if self.peek() == Some(b'<') || self.at_kw("for") {
                 // the paper writes nested FLWRs directly inside element
                 // content (Fig. 3.1); accept them without enclosing braces
-                content.push(self.flwr()?);
+                content.push(self.item()?);
             } else {
                 return Err(self.err("expected `{…}`, nested element, or close tag"));
             }
@@ -654,5 +674,23 @@ mod tests {
         assert!(parse_query("//a[").is_err());
         assert!(parse_query("for $x in //a return").is_err());
         assert!(parse_query("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        let n = 50_000;
+        let parens = format!("{}//a{}", "(".repeat(n), ")".repeat(n));
+        let e = parse_query(&parens).unwrap_err();
+        assert!(e.message.contains("nesting too deep"), "{e}");
+        let ctors = format!("{}//a{}", "<a>{".repeat(n), "}</a>".repeat(n));
+        assert!(parse_query(&ctors).is_err());
+        let bare = format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(parse_query(&bare).is_err());
+        let at_limit = format!(
+            "{}//a{}",
+            "(".repeat(MAX_QUERY_NESTING - 1),
+            ")".repeat(MAX_QUERY_NESTING - 1)
+        );
+        assert!(parse_query(&at_limit).is_ok());
     }
 }

@@ -64,7 +64,7 @@ proptest! {
     /// Serialize→parse is the identity on structure.
     #[test]
     fn parser_roundtrip(doc in arb_document()) {
-        let text = xmltree::parser::serialize(&doc);
+        let text = doc.content(doc.root());
         let doc2 = xmltree::parse_document(&text).unwrap();
         prop_assert_eq!(doc.len(), doc2.len());
         for (a, b) in doc.all_nodes().zip(doc2.all_nodes()) {
@@ -882,5 +882,287 @@ proptest! {
         prop_assert!(!seq_rw.is_empty(), "covering view must yield a rewriting");
         prop_assert_eq!(seq_keys, par_keys, "rewriting sets differ for\n{}", q);
         prop_assert!(cache.stats().hits > 0, "cache never hit");
+    }
+}
+
+/// Text pieces the serialization properties draw from: every character
+/// the XML escaper or the wire escaper rewrites, whitespace, and
+/// multi-byte characters.
+const PIECES: [&str; 12] = [
+    "a", "&", "<", ">", "\"", "'", "é", "日本", " ", "x y", "\\", "\n\r",
+];
+
+fn piece_text(ix: &[usize]) -> String {
+    ix.iter().map(|&i| PIECES[i % PIECES.len()]).collect()
+}
+
+/// Reference model of a parsed document: attributes lead their element.
+enum RefNode {
+    Elem {
+        label: String,
+        attrs: Vec<(String, String)>,
+        kids: Vec<RefNode>,
+    },
+    Text(String),
+}
+
+/// Reference escaper: char by char.
+fn ref_escape(s: &str, attr: bool) -> String {
+    let mut out = String::new();
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' if attr => out.push_str("&quot;"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Reference serializer: naive recursion over the model.
+fn ref_serialize(n: &RefNode) -> String {
+    match n {
+        RefNode::Text(t) => ref_escape(t, false),
+        RefNode::Elem { label, attrs, kids } => {
+            let mut out = format!("<{label}");
+            for (name, value) in attrs {
+                out += &format!(" {name}=\"{}\"", ref_escape(value, true));
+            }
+            if kids.is_empty() {
+                return out + "/>";
+            }
+            out.push('>');
+            for k in kids {
+                out += &ref_serialize(k);
+            }
+            out + &format!("</{label}>")
+        }
+    }
+}
+
+/// One node of the reference numbering, in document order.
+struct RefRow {
+    kind: NodeKind,
+    label: String,
+    value: String,
+    content: String,
+    post: u32,
+    depth: u16,
+}
+
+/// Number the model in pre-order, with post ranks and depths as
+/// §1.2.1 defines them; returns the element's value.
+fn ref_number(n: &RefNode, depth: u16, post: &mut u32, out: &mut Vec<RefRow>) -> String {
+    let row = |kind, label: &str, value: &str, content, post| RefRow {
+        kind,
+        label: label.to_string(),
+        value: value.to_string(),
+        content,
+        post,
+        depth,
+    };
+    match n {
+        RefNode::Text(t) => {
+            out.push(row(NodeKind::Text, "#text", t, ref_escape(t, false), *post));
+            *post += 1;
+            t.clone()
+        }
+        RefNode::Elem { label, attrs, kids } => {
+            let me = out.len();
+            out.push(row(NodeKind::Element, label, "", ref_serialize(n), 0));
+            for (name, value) in attrs {
+                let content = format!("{name}=\"{}\"", ref_escape(value, true));
+                out.push(RefRow {
+                    depth: depth + 1,
+                    ..row(NodeKind::Attribute, name, value, content, *post)
+                });
+                *post += 1;
+            }
+            let value: String = kids
+                .iter()
+                .map(|k| ref_number(k, depth + 1, post, out))
+                .collect();
+            out[me].value = value.clone();
+            out[me].post = *post;
+            *post += 1;
+            value
+        }
+    }
+}
+
+/// A random document as XML source text (attributes in both quote
+/// styles, entity and character references, CDATA sections, empty
+/// elements in both forms) together with its reference model. No two
+/// text nodes are adjacent and none is whitespace only: the data model
+/// merges adjacent text and drops blank runs when it parses, so such
+/// nodes could not survive a serialize-and-parse round trip.
+fn arb_source() -> impl Strategy<Value = (String, RefNode)> {
+    let op = (
+        0usize..8,
+        0usize..4,
+        prop::collection::vec(0usize..12, 1..5),
+    );
+    prop::collection::vec(op, 1..40).prop_map(|ops| {
+        let labels = ["a", "b", "näme", "c"];
+        let attr_names = ["id", "k", "x", "y"];
+        // open elements: (label, attrs, kids, start tag still open, last kid is text)
+        type Open = (String, Vec<(String, String)>, Vec<RefNode>, bool, bool);
+        let mut src = String::from("<root");
+        let mut stack: Vec<Open> = vec![("root".into(), Vec::new(), Vec::new(), true, false)];
+        fn end_start_tag(src: &mut String, top: &mut Open) {
+            if top.3 {
+                src.push('>');
+                top.3 = false;
+            }
+        }
+        for (action, l, text) in ops {
+            let text = piece_text(&text);
+            let nested = stack.len() > 1;
+            let top = stack.last_mut().unwrap();
+            match action {
+                0 | 1 => {
+                    end_start_tag(&mut src, top);
+                    top.4 = false;
+                    src += &format!("<{}", labels[l]);
+                    stack.push((labels[l].into(), Vec::new(), Vec::new(), true, false));
+                }
+                2 if nested => {
+                    let (label, attrs, kids, open, _) = stack.pop().unwrap();
+                    src += &if open {
+                        "/>".to_string()
+                    } else {
+                        format!("</{label}>")
+                    };
+                    let top = stack.last_mut().unwrap();
+                    top.2.push(RefNode::Elem { label, attrs, kids });
+                    top.4 = false;
+                }
+                3 if top.3 => {
+                    let name = attr_names[l].to_string();
+                    if l % 2 == 0 {
+                        let v = text
+                            .replace('&', "&amp;")
+                            .replace('"', "&quot;")
+                            .replace('<', "&lt;");
+                        src += &format!(" {name}=\"{v}\"");
+                    } else {
+                        let v = text
+                            .replace('&', "&#38;")
+                            .replace('\'', "&apos;")
+                            .replace('<', "&#x3C;");
+                        src += &format!(" {name}='{v}'");
+                    }
+                    top.1.push((name, text));
+                }
+                4 | 5 if !top.4 && !text.trim().is_empty() => {
+                    end_start_tag(&mut src, top);
+                    if action == 4 {
+                        src += &text
+                            .replace('&', "&amp;")
+                            .replace('<', "&lt;")
+                            .replace('>', "&#62;");
+                        top.2.push(RefNode::Text(text));
+                    } else {
+                        let cdata = text.replace("]]>", "]>");
+                        src += &format!("<![CDATA[{cdata}]]>");
+                        top.2.push(RefNode::Text(cdata));
+                    }
+                    top.4 = true;
+                }
+                _ => {
+                    end_start_tag(&mut src, top);
+                    top.4 = false;
+                    src += &if l % 2 == 0 {
+                        format!("<{}/>", labels[l])
+                    } else {
+                        format!("<{0}></{0}>", labels[l])
+                    };
+                    top.2.push(RefNode::Elem {
+                        label: labels[l].into(),
+                        attrs: Vec::new(),
+                        kids: Vec::new(),
+                    });
+                }
+            }
+        }
+        while let Some((label, attrs, kids, open, _)) = stack.pop() {
+            src += &if open {
+                "/>".to_string()
+            } else {
+                format!("</{label}>")
+            };
+            let node = RefNode::Elem { label, attrs, kids };
+            match stack.last_mut() {
+                Some(top) => {
+                    top.2.push(node);
+                    top.4 = false;
+                }
+                None => return (src, node),
+            }
+        }
+        unreachable!("the root closes last")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every node's content is its slice of the one canonical
+    /// serialization, equal to a naive recursive serializer's output;
+    /// values and structural IDs match a reference numbering; and the
+    /// serialization parses back to the same document.
+    #[test]
+    fn content_is_the_canonical_serialization(case in arb_source()) {
+        let (src, model) = case;
+        let doc = xmltree::parse_document(&src).unwrap();
+        let mut rows = Vec::new();
+        ref_number(&model, 1, &mut 0, &mut rows);
+        prop_assert_eq!(doc.len(), rows.len(), "{}", src);
+        for (n, want) in doc.all_nodes().zip(&rows) {
+            prop_assert_eq!(doc.kind(n), want.kind);
+            prop_assert_eq!(doc.label(n), want.label.as_str());
+            prop_assert_eq!(doc.value(n), want.value.clone(), "value of {} in {}", n, src);
+            prop_assert_eq!(doc.content_str(n), want.content.as_str(), "content of {} in {}", n, src);
+            prop_assert_eq!(doc.content(n), want.content.clone());
+            let sid = doc.structural_id(n);
+            prop_assert_eq!((sid.pre, sid.post, sid.depth), (n.0, want.post, want.depth));
+        }
+        let again = xmltree::parse_document(&doc.content(doc.root())).unwrap();
+        prop_assert_eq!(again.len(), doc.len());
+        for n in doc.all_nodes() {
+            prop_assert_eq!(again.kind(n), doc.kind(n));
+            prop_assert_eq!(again.label(n), doc.label(n));
+            prop_assert_eq!(again.value(n), doc.value(n));
+            prop_assert_eq!(again.structural_id(n), doc.structural_id(n));
+        }
+    }
+
+    /// The wire escaping: `unescape` inverts `escape`, and `write_row`
+    /// writes exactly the `ROW` line a reference escaper would.
+    #[test]
+    fn wire_rows_escape_by_runs(ix in prop::collection::vec(0usize..12, 0..24)) {
+        use uload::server::protocol::{escape, row_line, unescape, write_row};
+        fn reference_escape(s: &str) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let s = piece_text(&ix);
+        prop_assert_eq!(escape(&s), reference_escape(&s));
+        prop_assert_eq!(unescape(&escape(&s)), s.clone());
+        let mut wire = Vec::new();
+        write_row(&mut wire, &s).unwrap();
+        let want = format!("ROW {}", reference_escape(&s));
+        prop_assert_eq!(String::from_utf8(wire).unwrap(), format!("{want}\n"));
+        prop_assert_eq!(row_line(&s), want);
     }
 }

@@ -641,3 +641,58 @@ fn oversized_frame_closes_only_its_session() {
     server.shutdown();
     server.wait();
 }
+
+#[test]
+fn deeply_nested_query_gets_err_and_leaves_sessions_serving() {
+    // constructors around `{$x/name}`: at the limit with the FLWOR and
+    // the enclosed path counted
+    let wrapped = |k: usize| {
+        format!(
+            r#"for $x in doc("X")//item return {}{{$x/name}}{}"#,
+            "<r>".repeat(k),
+            "</r>".repeat(k)
+        )
+    };
+    let at_limit = wrapped(xquery::MAX_QUERY_NESTING - 2);
+    let doc = generate::xmark(2, 13);
+    let mut engine = engine_over(&doc, 64);
+    engine
+        .add_view_text("C", "//item[id:s]{ /n? name:name[cont] }", &doc)
+        .unwrap();
+    // embedded, a query at the limit runs on a 2 MiB thread stack
+    let embedded = std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, || engine.answer(&at_limit, &doc).unwrap().0)
+            .unwrap()
+            .join()
+            .unwrap()
+    });
+    let server = Server::start(ServerConfig::default(), engine, DocumentHandle::new(doc)).unwrap();
+    let mut healthy = Client::connect(server.addr()).unwrap();
+    let want = healthy.query(QUERY).unwrap().rows;
+    assert!(!want.is_empty());
+
+    let mut hostile = Client::connect(server.addr()).unwrap();
+    let deep = format!(
+        r#"for $x in doc("X")//item return {}<res>{{$x/name/text()}}</res>{}"#,
+        "<a>{".repeat(5_000),
+        "}</a>".repeat(5_000)
+    );
+    let err = hostile.query(&deep).unwrap_err().to_string();
+    assert!(err.contains("nesting too deep"), "{err}");
+    assert_eq!(hostile.query(QUERY).unwrap().rows, want);
+    assert_eq!(healthy.query(QUERY).unwrap().rows, want);
+
+    let rows = hostile.query(&at_limit).unwrap().rows;
+    assert_eq!(rows, embedded);
+    assert_eq!(rows.len(), want.len());
+    assert!(rows[0].starts_with("<r><r>") && rows[0].contains("<name>"));
+    let over_limit = wrapped(xquery::MAX_QUERY_NESTING - 1);
+    assert!(hostile.query(&over_limit).is_err());
+    assert_eq!(healthy.query(QUERY).unwrap().rows, want);
+    hostile.quit().unwrap();
+    healthy.quit().unwrap();
+    server.shutdown();
+    server.wait();
+}
